@@ -165,7 +165,8 @@ RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
     auto Err = Oracle ? Diff(Oracle->get(VectorLen))
                       : Diff(sim::ReferenceImage(L, VectorLen, CheckSeed));
     if (Err)
-      return Tagged(RunStatus::Failed, "[" + C.name() + "] " + *Err,
+      return Tagged(RunStatus::Failed,
+                    strf("[%s] %s", C.name().c_str(), Err->c_str()),
                     oracle::FailureKind::Mismatch);
   }
 

@@ -46,7 +46,7 @@ std::string harness::schemeName(const pipeline::CompileRequest &C) {
     break;
   }
   if (C.Simd.Tgt.VectorLen != 16)
-    Name += "@" + std::to_string(C.Simd.Tgt.VectorLen);
+    Name.append("@").append(std::to_string(C.Simd.Tgt.VectorLen));
   return Name;
 }
 

@@ -49,6 +49,8 @@ std::string compilerPath() {
   return SIMDIZE_NATIVE_CXX;
 }
 
+constexpr uint64_t FnvBasis = 14695981039346656037ULL;
+
 uint64_t fnv1a(uint64_t H, const std::string &S) {
   for (unsigned char C : S) {
     H ^= C;
@@ -62,6 +64,23 @@ std::string readFile(const std::string &Path) {
   std::ostringstream Out;
   Out << In.rdbuf();
   return Out.str();
+}
+
+std::string compileFlags(ISA Isa) {
+  std::string Flags = "-std=c++20 -O2 -fPIC -shared";
+  for (const std::string &F : isaCompileFlags(Isa))
+    Flags += " " + F;
+  return Flags;
+}
+
+/// The module key given the header's own FNV-1a hash, so compileAndLoad
+/// hashes the header once per process rather than once per call.
+uint64_t moduleKey(const std::string &Compiler, const std::string &Flags,
+                   uint64_t HeaderHash, const std::string &Source) {
+  std::string Prefix =
+      strf("%s\x1f%s\x1f%016llx\x1f", Compiler.c_str(), Flags.c_str(),
+           static_cast<unsigned long long>(HeaderHash));
+  return fnv1a(fnv1a(FnvBasis, Prefix), Source);
 }
 
 bool writeFile(const std::string &Path, const std::string &Contents) {
@@ -86,15 +105,24 @@ std::string native::nativeCacheDir() {
   return (Tmp / "simdize-native-cache").string();
 }
 
+const std::string &native::wrapperHeaderText() {
+  static const std::string Text =
+      readFile(std::string(SIMDIZE_NATIVE_INCLUDE_DIR) + "/simdize_x86.h");
+  return Text;
+}
+
+uint64_t native::moduleCacheKey(const std::string &Source, ISA Isa,
+                                const std::string &HeaderText) {
+  return moduleKey(compilerPath(), compileFlags(Isa),
+                   fnv1a(FnvBasis, HeaderText), Source);
+}
+
 const CompiledModule *native::compileAndLoad(const std::string &Source,
                                              ISA Isa, std::string *Error) {
+  static const uint64_t HeaderHash = fnv1a(FnvBasis, wrapperHeaderText());
   std::string Compiler = compilerPath();
-  std::string Flags = "-std=c++20 -O2 -fPIC -shared";
-  for (const std::string &F : isaCompileFlags(Isa))
-    Flags += " " + F;
-
-  uint64_t Key = fnv1a(14695981039346656037ULL,
-                       Compiler + "\x1f" + Flags + "\x1f" + Source);
+  std::string Flags = compileFlags(Isa);
+  uint64_t Key = moduleKey(Compiler, Flags, HeaderHash, Source);
 
   CacheState &C = cache();
   std::lock_guard<std::mutex> Lock(C.Mu);

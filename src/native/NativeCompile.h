@@ -10,8 +10,9 @@
 /// content-hash cache (in-process handle map over an on-disk .so store)
 /// makes repeated kernels — fuzz sweeps, benches, repeated test runs —
 /// cost one dlopen instead of one compiler invocation. Keys are the
-/// FNV-1a hash of (compiler, flags, source), so any change to either the
-/// generator or the toolchain misses cleanly.
+/// FNV-1a hash of (compiler, flags, wrapper header text, source), so any
+/// change to the generator, the simdize_x86.h wrappers or the toolchain
+/// misses cleanly.
 ///
 /// The compiler defaults to the one this project was built with
 /// (SIMDIZE_NATIVE_CXX, set by CMake); the SIMDIZE_NATIVE_CXX environment
@@ -57,6 +58,17 @@ struct NativeCompileStats {
 /// compiler's stderr when compilation failed).
 const CompiledModule *compileAndLoad(const std::string &Source, ISA Isa,
                                      std::string *Error);
+
+/// The bytes of the simdize_x86.h that kernels compile against, read once
+/// per process (empty if unreadable).
+const std::string &wrapperHeaderText();
+
+/// The content key of a module built from \p Source for \p Isa against
+/// wrapper header bytes \p HeaderText. compileAndLoad keys on
+/// wrapperHeaderText(), so an edited header never reloads a shared object
+/// built against the old one.
+uint64_t moduleCacheKey(const std::string &Source, ISA Isa,
+                        const std::string &HeaderText);
 
 /// Snapshot of this process's cache counters.
 NativeCompileStats nativeCompileStats();

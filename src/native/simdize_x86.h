@@ -216,11 +216,29 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
     return _mm_or_si128(_mm_srli_si128(A, N), _mm_slli_si128(B, 16 - N));
 }
 
+inline vx_t vx_select(vx_t Mask, vx_t IfSet, vx_t IfClear) {
+  return _mm_or_si128(_mm_and_si128(Mask, IfSet),
+                      _mm_andnot_si128(Mask, IfClear));
+}
+
+/// Runtime shift pair in registers. With W = S / 8 and R = S % 8, qword k
+/// of the result is (X_k >> 8R) | (Y_k << (64 - 8R)), where X and Y are
+/// the qword windows of A ++ B starting at W and W + 1: X is A, (A.hi,
+/// B.lo) or B, and Y the next one along. The masks and counts depend on
+/// S alone, so a loop-invariant S leaves two selects, two shifts and an
+/// or in the loop body. A count of 64 shifts a qword out entirely, which
+/// makes R = 0 exact.
 inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
-  alignas(16) unsigned char Concat[32];
-  _mm_store_si128(reinterpret_cast<__m128i *>(Concat), A);
-  _mm_store_si128(reinterpret_cast<__m128i *>(Concat + 16), B);
-  return _mm_loadu_si128(reinterpret_cast<const __m128i *>(Concat + S));
+  __m128i Mid = _mm_castpd_si128(
+      _mm_shuffle_pd(_mm_castsi128_pd(A), _mm_castsi128_pd(B), 1));
+  __m128i W = _mm_set1_epi32(static_cast<int>(S >> 3));
+  __m128i AtA = _mm_cmpeq_epi32(W, _mm_setzero_si128());
+  __m128i AtMid = _mm_cmpeq_epi32(W, _mm_set1_epi32(1));
+  __m128i X = vx_select(AtA, A, vx_select(AtMid, Mid, B));
+  __m128i Y = vx_select(AtA, Mid, B);
+  int R = static_cast<int>(8 * (S & 7));
+  return _mm_or_si128(_mm_srl_epi64(X, _mm_cvtsi32_si128(R)),
+                      _mm_sll_epi64(Y, _mm_cvtsi32_si128(64 - R)));
 }
 
 /// 0xFF in bytes [0, P), 0x00 above — the vsplice select mask.
@@ -228,11 +246,6 @@ inline vx_t vx_splice_mask(long P) {
   const __m128i Idx = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                     12, 13, 14, 15);
   return _mm_cmplt_epi8(Idx, _mm_set1_epi8(static_cast<char>(P)));
-}
-
-inline vx_t vx_select(vx_t Mask, vx_t IfSet, vx_t IfClear) {
-  return _mm_or_si128(_mm_and_si128(Mask, IfSet),
-                      _mm_andnot_si128(Mask, IfClear));
 }
 
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {
@@ -390,11 +403,34 @@ template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
   }
 }
 
+namespace simdize_x86_detail {
+
+/// Dword k of the result is dword Idx_k of the 16-dword A ++ B: both
+/// sources go through the single-source vpermd (which reads the index's
+/// low three bits), and index bit 3 blends in B's pick.
+inline __m256i pickDwords(__m256i A, __m256i B, __m256i Idx) {
+  return _mm256_blendv_epi8(_mm256_permutevar8x32_epi32(A, Idx),
+                            _mm256_permutevar8x32_epi32(B, Idx),
+                            _mm256_cmpgt_epi32(Idx, _mm256_set1_epi32(7)));
+}
+
+} // namespace simdize_x86_detail
+
+/// Runtime shift pair in registers, the qword scheme of the SSE2 variant:
+/// X and Y are the qword windows of A ++ B starting at S / 8 and S / 8 + 1,
+/// and the result is (X >> 8R) | (Y << (64 - 8R)) per qword, R = S % 8.
+/// The gather indices and counts depend on S alone and hoist out of a
+/// loop that shifts by an invariant S.
 inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
-  alignas(32) unsigned char Concat[64];
-  _mm256_store_si256(reinterpret_cast<__m256i *>(Concat), A);
-  _mm256_store_si256(reinterpret_cast<__m256i *>(Concat + 32), B);
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Concat + S));
+  __m256i XIdx =
+      _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(2 * (S >> 3))),
+                       _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256i YIdx = _mm256_add_epi32(XIdx, _mm256_set1_epi32(2));
+  __m256i X = simdize_x86_detail::pickDwords(A, B, XIdx);
+  __m256i Y = simdize_x86_detail::pickDwords(A, B, YIdx);
+  long long R = 8 * (S & 7);
+  return _mm256_or_si256(_mm256_srlv_epi64(X, _mm256_set1_epi64x(R)),
+                         _mm256_sllv_epi64(Y, _mm256_set1_epi64x(64 - R)));
 }
 
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {
@@ -501,10 +537,11 @@ inline vx_t vx_cmp_ge_i32(vx_t A, vx_t B) {
 }
 
 //===----------------------------------------------------------------------===//
-// AVX-512 (F + BW): __m512i, V = 64. vsplice is a single masked blend;
-// the shift pair goes through an aligned spill of the 128-byte pair
-// (correct for every S in [0, 64] and still far from the interpreter's
-// cost).
+// AVX-512 (F + BW): __m512i, V = 64. Shifts stay in registers: an
+// immediate shift is valignq (whole 128-bit lanes) plus the per-lane
+// vpalignr, the AVX-512 form of the AVX2 vperm2i128 + vpalignr pair; a
+// runtime shift is a two-source vpermt2q qword gather plus variable qword
+// shifts. vsplice is a single masked blend.
 //===----------------------------------------------------------------------===//
 #elif defined(SIMDIZE_NATIVE_ISA_AVX512)
 
@@ -528,21 +565,53 @@ inline void vx_st(unsigned char *Addr, vx_t V) {
   _mm512_store_si512(reinterpret_cast<void *>(P), V);
 }
 
-inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
-  alignas(64) unsigned char Concat[128];
-  _mm512_store_si512(reinterpret_cast<void *>(Concat), A);
-  _mm512_store_si512(reinterpret_cast<void *>(Concat + 64), B);
-  return _mm512_loadu_si512(reinterpret_cast<const void *>(Concat + S));
+namespace simdize_x86_detail {
+
+// The shift networks below use the all-ones zero-masked form of valignq
+// and vpsrlvq/vpsllvq, which compiles to the plain instruction: GCC 12's
+// unmasked _mm512_alignr_epi64 and _mm512_s{r,l}lv_epi64 read an
+// undefined pass-through and trip -Wuninitialized under -Wall.
+
+/// Bytes [16Q, 16Q + 64) of A ++ B, Q in [0, 4]: a whole-lane window.
+template <int Q> inline __m512i laneWindow(__m512i A, __m512i B) {
+  if constexpr (Q == 0)
+    return A;
+  else if constexpr (Q == 4)
+    return B;
+  else
+    return _mm512_maskz_alignr_epi64(0xFF, B, A, 2 * Q);
 }
+
+} // namespace simdize_x86_detail
 
 template <int N> inline vx_t vx_sld(vx_t A, vx_t B) {
   static_assert(N >= 0 && N <= 64, "shift immediate out of range");
-  if constexpr (N == 0)
-    return A;
-  else if constexpr (N == 64)
-    return B;
+  // Lane l of the result is bytes [R, R + 16) of lane l of the windows at
+  // Q and Q + 1 side by side, which is what vpalignr computes per lane.
+  constexpr int Q = N / 16, R = N % 16;
+  __m512i X = simdize_x86_detail::laneWindow<Q>(A, B);
+  if constexpr (R == 0)
+    return X;
   else
-    return vx_shiftpair(A, B, N);
+    return _mm512_alignr_epi8(simdize_x86_detail::laneWindow<Q + 1>(A, B),
+                              X, R);
+}
+
+/// Runtime shift pair in registers, the qword scheme of the SSE2 variant:
+/// vpermt2q gathers the qword windows X and Y of A ++ B starting at S / 8
+/// and S / 8 + 1, and the result is (X >> 8R) | (Y << (64 - 8R)) per
+/// qword, R = S % 8. The indices and counts depend on S alone and hoist
+/// out of a loop that shifts by an invariant S.
+inline vx_t vx_shiftpair(vx_t A, vx_t B, long S) {
+  __m512i XIdx = _mm512_add_epi64(_mm512_set1_epi64(S >> 3),
+                                  _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+  __m512i YIdx = _mm512_add_epi64(XIdx, _mm512_set1_epi64(1));
+  __m512i X = _mm512_permutex2var_epi64(A, XIdx, B);
+  __m512i Y = _mm512_permutex2var_epi64(A, YIdx, B);
+  long long R = 8 * (S & 7);
+  return _mm512_or_si512(
+      _mm512_maskz_srlv_epi64(0xFF, X, _mm512_set1_epi64(R)),
+      _mm512_maskz_sllv_epi64(0xFF, Y, _mm512_set1_epi64(64 - R)));
 }
 
 inline vx_t vx_splice(vx_t A, vx_t B, long P) {

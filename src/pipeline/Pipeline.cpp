@@ -34,7 +34,7 @@ std::string CompileRequest::name() const {
     break;
   }
   if (Simd.Tgt.VectorLen != 16)
-    Name += "@" + std::to_string(Simd.Tgt.VectorLen);
+    Name.append("@").append(std::to_string(Simd.Tgt.VectorLen));
   if (Tier == ExecTier::Native)
     Name += "+native";
   return Name;

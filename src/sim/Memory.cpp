@@ -35,6 +35,7 @@ MemoryLayout::MemoryLayout(const ir::Loop &L, unsigned VectorLen)
     assert(nonNegMod(Base, VectorLen) == Align &&
            "layout failed to realize the declared alignment");
     BaseAddr[A.get()] = Base;
+    Order.push_back(A.get());
     Cursor = Base + A->getSizeInBytes() + 4 * static_cast<int64_t>(VectorLen);
   }
   TotalSize = alignTo(Cursor + 4 * static_cast<int64_t>(VectorLen), VectorLen);
@@ -47,8 +48,11 @@ int64_t MemoryLayout::baseOf(const ir::Array *A) const {
 }
 
 bool MemoryLayout::covers(const ir::Loop &L) const {
-  for (const auto &A : L.getArrays())
-    if (!BaseAddr.count(A.get()))
+  const auto &Arrays = L.getArrays();
+  if (Arrays.size() != Order.size())
+    return false;
+  for (size_t K = 0; K < Order.size(); ++K)
+    if (Arrays[K].get() != Order[K])
       return false;
   return true;
 }

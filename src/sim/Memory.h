@@ -41,10 +41,13 @@ public:
   /// layout was built from.
   int64_t baseOf(const ir::Array *A) const;
 
-  /// Whether every array of \p L was placed by this layout — i.e. the
-  /// layout was built from this exact loop instance, not merely from an
-  /// identically-printed one. Content-addressed caches use this to decide
-  /// when a shared image must be rebound before use.
+  /// Whether this layout was built from this exact loop instance, not
+  /// merely from an identically-printed one: \p L must declare exactly
+  /// the placed arrays, in placement order. Set membership alone is not
+  /// enough — once a loop is freed, a reparse of the same text can get
+  /// the same array addresses back in another order, and the bases would
+  /// then be permuted. Content-addressed caches use this to decide when a
+  /// shared image must be rebound before use.
   bool covers(const ir::Loop &L) const;
 
   /// Total bytes of memory required, including guard gaps.
@@ -54,6 +57,8 @@ public:
 
 private:
   std::unordered_map<const ir::Array *, int64_t> BaseAddr;
+  /// The placed arrays in declaration order.
+  std::vector<const ir::Array *> Order;
   int64_t TotalSize = 0;
   unsigned VectorLen;
 };

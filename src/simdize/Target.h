@@ -77,7 +77,9 @@ struct Target {
   bool operator!=(const Target &O) const { return VectorLen != O.VectorLen; }
 
   /// "v16" / "v32" / "v64" — used in config names and diagnostics.
-  std::string str() const { return "v" + std::to_string(VectorLen); }
+  std::string str() const {
+    return std::string("v").append(std::to_string(VectorLen));
+  }
 };
 
 } // namespace simdize

@@ -52,15 +52,18 @@ std::string compileReq(uint64_t Id, const std::string &Loop,
   return Out;
 }
 
-std::string checkReq(uint64_t Id, const std::string &Loop, uint64_t Seed) {
+std::string checkReq(uint64_t Id, const std::string &Loop, uint64_t Seed,
+                     const std::string &Config = "") {
   std::string Out;
   obs::json::Writer W(Out);
   W.beginObject()
       .field("id", Id)
       .field("kind", "check")
       .field("loop", Loop)
-      .field("seed", Seed)
-      .endObject();
+      .field("seed", Seed);
+  if (!Config.empty())
+    W.key("config").raw(Config);
+  W.endObject();
   return Out;
 }
 
@@ -243,6 +246,44 @@ TEST(ServerCache, EvictionKeepsTheBoundAndStaysCorrect) {
   for (size_t K = 0; K < 2; ++K)
     EXPECT_EQ(S.handle(compileReq(K, Loops[K])), FirstResponses[K]);
   EXPECT_LE(S.cache().size(), 4u);
+}
+
+TEST(ServerCache, ReparsedLoopNeverReusesAPermutedImage) {
+  // A one-entry compile cache evicts (and frees) each loop as soon as the
+  // other one is checked, while the reference-image cache keeps the image
+  // built from the freed instance. A reparse can get the freed array
+  // addresses back in another order; the image's layout must then be
+  // rebound, not reused with permuted bases. Which reparses do so depends
+  // on the allocator, so two loop pairs under two configs each run 50
+  // alternating checks (with and without a leading comment).
+  const std::string TwoArrays = "array a i32 128 align 0\n"
+                                "array b i32 128 align 4\n"
+                                "loop 100\n"
+                                "a[i+2] = b[i+1] + b[i]\n";
+  const std::string Shorts = "array x i16 256 align 2\n"
+                             "array y i16 256 align 6\n"
+                             "loop 120\n"
+                             "x[i+1] = y[i+3] - y[i]\n";
+  const std::pair<std::string, std::string> Pairs[] = {
+      {CacheLoop, TwoArrays}, {TwoArrays, Shorts}};
+  int Wrong = 0;
+  for (const auto &[First, Second] : Pairs)
+    for (const char *Config : {"", R"({"policy":"eager","width":32})"}) {
+      ServiceOptions Opts;
+      Opts.MaxCacheEntries = 1;
+      Service S(Opts);
+      for (uint64_t K = 0; K < 50; ++K) {
+        std::string Loop = K % 2 == 1   ? Second
+                           : K % 4 == 2 ? "# respelled\n" + First
+                                        : First;
+        std::string Resp = S.handle(checkReq(K, Loop, 5, Config));
+        if (Resp.find("\"verdict\":{\"ok\":true") == std::string::npos) {
+          ++Wrong;
+          ADD_FAILURE() << "check " << K << ": " << Resp;
+        }
+      }
+    }
+  EXPECT_EQ(Wrong, 0);
 }
 
 TEST(ServerCache, UnboundedWhenMaxIsZero) {

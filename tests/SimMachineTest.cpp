@@ -486,7 +486,8 @@ TEST_P(WideMachineTest, SplatFillsEveryLane) {
 INSTANTIATE_TEST_SUITE_P(WideTargets, WideMachineTest,
                          ::testing::Values(32u, 64u),
                          [](const ::testing::TestParamInfo<unsigned> &I) {
-                           return "V" + std::to_string(I.param);
+                           return std::string("V").append(
+                               std::to_string(I.param));
                          });
 
 } // namespace

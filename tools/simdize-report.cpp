@@ -206,7 +206,7 @@ void sectionEnvelope(std::string &Md, const Input &In) {
     return;
   Md += "|";
   for (const auto &[K, V] : First.Obj)
-    Md += " " + K + " |";
+    Md.append(" ").append(K).append(" |");
   Md += "\n|";
   for (size_t K = 0; K < First.Obj.size(); ++K)
     Md += "---|";
@@ -218,9 +218,9 @@ void sectionEnvelope(std::string &Md, const Input &In) {
     for (const auto &[K, _] : First.Obj) {
       const Value *C = member(Row, K.c_str());
       if (C && C->isNumber())
-        Md += " " + fmtNum(C->Num) + " |";
+        Md.append(" ").append(fmtNum(C->Num)).append(" |");
       else if (C && C->isString())
-        Md += " " + C->Str + " |";
+        Md.append(" ").append(C->Str).append(" |");
       else if (C && C->isBool())
         Md += C->Bool ? " true |" : " false |";
       else
