@@ -8,7 +8,7 @@
 
 #include "opt/SymbolicKey.h"
 
-#include <map>
+#include <vector>
 
 using namespace simdize;
 using namespace simdize::opt;
@@ -18,15 +18,16 @@ unsigned opt::runCSE(VProgram &P, bool MemNorm) {
   BodyKeys Keys(P, MemNorm);
   Block &Body = P.getBody();
 
-  std::map<std::string, VRegId> Leader;
-  std::map<unsigned, VRegId> Rename;
+  // First register holding each value number, and the leader each
+  // dropped register's uses are routed to (invalid when kept).
+  std::vector<VRegId> Leader;
+  std::vector<VRegId> Rename(P.getNumVRegs());
   Block NewBody;
   NewBody.reserve(Body.size());
   unsigned Removed = 0;
 
   auto Renamed = [&Rename](VRegId R) {
-    auto It = Rename.find(R.Id);
-    return It == Rename.end() ? R : It->second;
+    return Rename[R.Id].isValid() ? Rename[R.Id] : R;
   };
 
   for (const VInst &I : Body) {
@@ -56,15 +57,16 @@ unsigned opt::runCSE(VProgram &P, bool MemNorm) {
     // Copies are the loop-carry mechanism, never redundant computation;
     // the unroll pass is responsible for removing them.
     if (Copy.isPure() && Copy.definesVector() && Copy.Op != VOpcode::VCopy) {
-      std::string Key = Keys.keyOfVReg(I.VDst, 0);
-      if (!Key.empty()) {
-        if (auto It = Leader.find(Key); It != Leader.end()) {
+      if (ValueNum Key = Keys.keyOfVReg(I.VDst, 0)) {
+        if (Key >= Leader.size())
+          Leader.resize(Key + 1);
+        if (Leader[Key].isValid()) {
           // Redundant: route uses to the leader and drop the instruction.
-          Rename[I.VDst.Id] = It->second;
+          Rename[I.VDst.Id] = Leader[Key];
           ++Removed;
           continue;
         }
-        Leader.emplace(std::move(Key), I.VDst);
+        Leader[Key] = I.VDst;
       }
     }
     NewBody.push_back(std::move(Copy));

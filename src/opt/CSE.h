@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Removes within-iteration redundancy from the steady-state body: two pure
-/// vector instructions with the same symbolic value collapse to one. The
+/// vector instructions with the same value number collapse to one. The
 /// non-pipelined lowering of vshiftstream recomputes whole subtrees for the
 /// "other" iteration (Figure 7); sibling shifts frequently share those
 /// subtrees, and this pass merges them. Store-to-load aliasing cannot occur

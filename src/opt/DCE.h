@@ -22,8 +22,9 @@ class VProgram;
 
 namespace opt {
 
-/// Iterates to a fixpoint removing unused pure definitions across all three
-/// blocks. \returns the number of instructions removed.
+/// Removes unused pure definitions across all three blocks, transitively:
+/// one use-count worklist pass. \returns the number of instructions
+/// removed.
 unsigned runDCE(vir::VProgram &P);
 
 } // namespace opt

@@ -12,6 +12,7 @@
 #include "support/Format.h"
 #include "support/MathExtras.h"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -23,7 +24,9 @@ namespace {
 /// Offset-class key of a subtree: operands in the same class are provably
 /// relatively aligned. "u" is the wildcard splat class; "m:<text>" marks a
 /// mixed subtree that only groups with itself structurally (never merged).
-std::string classOf(const ir::Expr &E, unsigned V) {
+/// A runtime-aligned array is named by its position among \p L's arrays,
+/// so the order of the groups never depends on where arrays sit in memory.
+std::string classOf(const ir::Expr &E, const ir::Loop &L, unsigned V) {
   switch (E.getKind()) {
   case ir::ExprKind::Splat:
   case ir::ExprKind::Param:
@@ -41,58 +44,63 @@ std::string classOf(const ir::Expr &E, unsigned V) {
                                     Ref.getOffset() *
                                         static_cast<int64_t>(A->getElemSize()),
                                 V)));
-    return strf("r%p/%lld", static_cast<const void *>(A),
+    const auto &Arrays = L.getArrays();
+    auto Pos = std::find_if(Arrays.begin(), Arrays.end(),
+                            [A](const auto &Decl) { return Decl.get() == A; });
+    return strf("r%lld/%lld", static_cast<long long>(Pos - Arrays.begin()),
                 static_cast<long long>(Scaled));
   }
   case ir::ExprKind::BinOp: {
     const auto &BO = ir::cast<ir::BinOpExpr>(E);
-    std::string L = classOf(BO.getLHS(), V);
-    std::string R = classOf(BO.getRHS(), V);
-    if (L == "u")
-      return R;
-    if (R == "u" || L == R)
-      return L;
-    return "m:" + L + "|" + R;
+    std::string Lhs = classOf(BO.getLHS(), L, V);
+    std::string Rhs = classOf(BO.getRHS(), L, V);
+    if (Lhs == "u")
+      return Rhs;
+    if (Rhs == "u" || Lhs == Rhs)
+      return Lhs;
+    return "m:" + Lhs + "|" + Rhs;
   }
   }
   return "m:?";
 }
 
-std::unique_ptr<ir::Expr> transform(std::unique_ptr<ir::Expr> E, unsigned V);
+std::unique_ptr<ir::Expr> transform(std::unique_ptr<ir::Expr> E,
+                                    const ir::Loop &L, unsigned V);
 
 /// Flattens a maximal same-operator associative-commutative chain,
 /// transforming each operand recursively.
 void flattenChain(std::unique_ptr<ir::Expr> E, ir::BinOpKind Kind,
                   std::vector<std::unique_ptr<ir::Expr>> &Operands,
-                  unsigned V) {
+                  const ir::Loop &L, unsigned V) {
   if (auto *BO = ir::dyn_cast<ir::BinOpExpr>(*E); BO && BO->getOp() == Kind) {
-    flattenChain(BO->takeLHS(), Kind, Operands, V);
-    flattenChain(BO->takeRHS(), Kind, Operands, V);
+    flattenChain(BO->takeLHS(), Kind, Operands, L, V);
+    flattenChain(BO->takeRHS(), Kind, Operands, L, V);
     return;
   }
-  Operands.push_back(transform(std::move(E), V));
+  Operands.push_back(transform(std::move(E), L, V));
 }
 
-std::unique_ptr<ir::Expr> transform(std::unique_ptr<ir::Expr> E, unsigned V) {
+std::unique_ptr<ir::Expr> transform(std::unique_ptr<ir::Expr> E,
+                                    const ir::Loop &L, unsigned V) {
   auto *BO = ir::dyn_cast<ir::BinOpExpr>(*E);
   if (!BO)
     return E;
   if (!ir::isAssociativeCommutative(BO->getOp())) {
-    BO->setLHS(transform(BO->takeLHS(), V));
-    BO->setRHS(transform(BO->takeRHS(), V));
+    BO->setLHS(transform(BO->takeLHS(), L, V));
+    BO->setRHS(transform(BO->takeRHS(), L, V));
     return E;
   }
 
   ir::BinOpKind Kind = BO->getOp();
   std::vector<std::unique_ptr<ir::Expr>> Operands;
-  flattenChain(std::move(E), Kind, Operands, V);
+  flattenChain(std::move(E), Kind, Operands, L, V);
 
   // Group by offset class, preserving in-class order; the splat wildcard
   // class "u" joins the first group. std::map keeps group order
   // deterministic.
   std::map<std::string, std::vector<std::unique_ptr<ir::Expr>>> Groups;
   for (auto &Op : Operands) {
-    std::string Class = classOf(*Op, V);
+    std::string Class = classOf(*Op, L, V);
     Groups[Class].push_back(std::move(Op));
   }
   if (auto It = Groups.find("u");
@@ -128,7 +136,7 @@ unsigned opt::runOffsetReassociation(ir::Loop &L, unsigned VectorLen) {
   unsigned Changed = 0;
   for (auto &S : L.getStmts()) {
     std::string Before = ir::printExpr(S->getRHS());
-    S->setRHS(transform(S->takeRHS(), VectorLen));
+    S->setRHS(transform(S->takeRHS(), L, VectorLen));
     if (ir::printExpr(S->getRHS()) != Before)
       ++Changed;
   }

@@ -9,8 +9,6 @@
 #include "opt/SymbolicKey.h"
 #include "support/Debug.h"
 
-#include <map>
-#include <set>
 #include <vector>
 
 using namespace simdize;
@@ -23,19 +21,20 @@ namespace {
 /// compile-time counter value — the initialization of carried registers.
 class ConstCloner {
 public:
-  ConstCloner(VProgram &P, const Block &OrigBody, const BodyKeys &Keys)
-      : P(P), OrigBody(OrigBody), Keys(Keys) {}
+  ConstCloner(VProgram &P, const Block &OrigBody, const BodyKeys &Keys,
+              int64_t CV)
+      : P(P), OrigBody(OrigBody), Keys(Keys), CV(CV),
+        Memo(P.getNumVRegs()) {}
 
   /// Emits code into Setup computing the value \p R has at loop counter
-  /// \p CV; returns the register holding it. Registers not defined in the
+  /// CV; returns the register holding it. Registers not defined in the
   /// body are loop invariants and are returned as-is.
-  VRegId cloneAt(VRegId R, int64_t CV) {
+  VRegId cloneAt(VRegId R) {
     int DefIdx = Keys.defIndexOf(R);
     if (DefIdx < 0)
       return R; // Setup-defined loop invariant.
-    auto MemoKey = std::make_pair(R.Id, CV);
-    if (auto It = Memo.find(MemoKey); It != Memo.end())
-      return It->second;
+    if (Memo[R.Id].isValid())
+      return Memo[R.Id];
 
     VInst I = OrigBody[static_cast<size_t>(DefIdx)];
     assert(I.isPure() && "cannot clone an impure instruction");
@@ -50,16 +49,16 @@ public:
     case VOpcode::VCmp:
     case VOpcode::VShiftPair:
     case VOpcode::VSplice:
-      I.VSrc1 = cloneAt(I.VSrc1, CV);
-      I.VSrc2 = cloneAt(I.VSrc2, CV);
+      I.VSrc1 = cloneAt(I.VSrc1);
+      I.VSrc2 = cloneAt(I.VSrc2);
       break;
     case VOpcode::VSelect:
-      I.VSrc1 = cloneAt(I.VSrc1, CV);
-      I.VSrc2 = cloneAt(I.VSrc2, CV);
-      I.VSrc3 = cloneAt(I.VSrc3, CV);
+      I.VSrc1 = cloneAt(I.VSrc1);
+      I.VSrc2 = cloneAt(I.VSrc2);
+      I.VSrc3 = cloneAt(I.VSrc3);
       break;
     case VOpcode::VCopy:
-      I.VSrc1 = cloneAt(I.VSrc1, CV);
+      I.VSrc1 = cloneAt(I.VSrc1);
       break;
     default:
       simdize_unreachable("unexpected opcode in steady body");
@@ -67,7 +66,7 @@ public:
     I.VDst = P.allocVReg();
     I.Comment = "predictive-commoning init";
     P.getSetup().push_back(I);
-    Memo.emplace(MemoKey, I.VDst);
+    Memo[R.Id] = I.VDst;
     return I.VDst;
   }
 
@@ -75,7 +74,9 @@ private:
   VProgram &P;
   const Block &OrigBody;
   const BodyKeys &Keys;
-  std::map<std::pair<unsigned, int64_t>, VRegId> Memo;
+  int64_t CV;
+  /// Clone of each original body register, indexed by register.
+  std::vector<VRegId> Memo;
 };
 
 } // namespace
@@ -83,114 +84,130 @@ private:
 unsigned opt::runPredictiveCommoning(VProgram &P, bool MemNorm) {
   BodyKeys Keys(P, MemNorm);
   const Block OrigBody = P.getBody(); // Copy: rewrites must not disturb keys.
+  const size_t N = OrigBody.size();
+  constexpr size_t None = ~size_t(0);
   int64_t B = P.getBlockingFactor();
   int64_t LB = P.getLowerBound().isImm() ? P.getLowerBound().getImm() : B;
 
   // Map each keyable value to its first defining instruction.
-  std::map<std::string, int> ByKey;
-  for (unsigned Idx = 0; Idx < OrigBody.size(); ++Idx) {
+  std::vector<size_t> ByKey;
+  for (size_t Idx = 0; Idx < N; ++Idx) {
     const VInst &I = OrigBody[Idx];
     if (!I.isPure() || !I.definesVector())
       continue;
-    std::string Key = Keys.keyOfVReg(I.VDst, 0);
-    if (!Key.empty())
-      ByKey.try_emplace(std::move(Key), static_cast<int>(Idx));
+    if (ValueNum Key = Keys.keyOfVReg(I.VDst, 0)) {
+      if (Key >= ByKey.size())
+        ByKey.resize(Key + 1, None);
+      if (ByKey[Key] == None)
+        ByKey[Key] = Idx;
+    }
   }
 
   // Identify candidates: hoistable invariants and carried values.
-  std::set<int> Hoisted;
+  std::vector<bool> Hoisted(N, false);
+  unsigned NumHoisted = 0;
   struct CarryInfo {
-    int XIdx;
-    int YIdx;
+    size_t XIdx;
+    size_t YIdx;
     VRegId CarryReg;
   };
   std::vector<CarryInfo> Carries;
-  std::map<int, int> CarrySucc; // XIdx -> YIdx, for cycle detection.
+  std::vector<size_t> CarrySucc(N, None); // XIdx -> YIdx, for cycles.
 
-  for (unsigned Idx = 0; Idx < OrigBody.size(); ++Idx) {
+  for (size_t Idx = 0; Idx < N; ++Idx) {
     const VInst &I = OrigBody[Idx];
     if (!I.isPure() || !I.definesVector())
       continue;
-    std::string K0 = Keys.keyOfVReg(I.VDst, 0);
-    if (K0.empty())
+    ValueNum K0 = Keys.keyOfVReg(I.VDst, 0);
+    if (!K0)
       continue;
-    std::string KB = Keys.keyOfVReg(I.VDst, B);
-    if (KB.empty())
+    ValueNum KB = Keys.keyOfVReg(I.VDst, B);
+    if (!KB)
       continue;
 
     if (KB == K0) {
       // Loop invariant; hoistable when all operands are invariant too
       // (ext regs or previously hoisted defs — guaranteed by K0 == KB
       // recursively, and body order puts operand defs first).
-      Hoisted.insert(static_cast<int>(Idx));
+      Hoisted[Idx] = true;
+      ++NumHoisted;
       continue;
     }
-    if (auto It = ByKey.find(KB); It != ByKey.end()) {
-      int YIdx = It->second;
-      if (YIdx != static_cast<int>(Idx) && !Hoisted.count(YIdx)) {
-        Carries.push_back({static_cast<int>(Idx), YIdx, VRegId{}});
-        CarrySucc[static_cast<int>(Idx)] = YIdx;
+    // A number first handed out at delta B is no body value at delta 0.
+    if (KB < ByKey.size() && ByKey[KB] != None) {
+      size_t YIdx = ByKey[KB];
+      if (YIdx != Idx && !Hoisted[YIdx]) {
+        Carries.push_back({Idx, YIdx, VRegId{}});
+        CarrySucc[Idx] = YIdx;
       }
     }
   }
 
   // Drop carries that participate in cycles (defensive; cannot arise from
-  // stride-one codegen, where load offsets strictly increase with B).
+  // stride-one codegen, where load offsets strictly increase with B). Each
+  // walk stamps the indices it visits with its own number.
+  std::vector<unsigned> SeenInWalk(N, 0);
+  unsigned Walk = 0;
   for (auto It = Carries.begin(); It != Carries.end();) {
-    std::set<int> Seen;
-    int Cur = It->XIdx;
+    ++Walk;
+    size_t Cur = It->XIdx;
     bool Cycle = false;
-    while (CarrySucc.count(Cur)) {
-      if (!Seen.insert(Cur).second) {
+    while (CarrySucc[Cur] != None) {
+      if (SeenInWalk[Cur] == Walk) {
         Cycle = true;
         break;
       }
+      SeenInWalk[Cur] = Walk;
       Cur = CarrySucc[Cur];
     }
     if (Cycle) {
-      CarrySucc.erase(It->XIdx);
+      CarrySucc[It->XIdx] = None;
       It = Carries.erase(It);
       continue;
     }
     ++It;
   }
 
-  if (Hoisted.empty() && Carries.empty())
+  if (NumHoisted == 0 && Carries.empty())
     return 0;
 
   // Materialize carried registers and their Setup initialization: the value
   // X holds in the first steady iteration, computed at counter LB.
-  ConstCloner Cloner(P, OrigBody, Keys);
-  std::map<unsigned, VRegId> Rename; // Old dst -> carried register.
-  std::set<int> RemovedIdx;
-  for (CarryInfo &C : Carries) {
+  ConstCloner Cloner(P, OrigBody, Keys, LB);
+  std::vector<VRegId> Rename(P.getNumVRegs()); // Old dst -> carried register.
+  std::vector<bool> Removed(N, false);
+  std::vector<size_t> CarryAt(N, None); // XIdx -> its carry.
+  for (size_t K = 0; K < Carries.size(); ++K) {
+    CarryInfo &C = Carries[K];
     C.CarryReg = P.allocVReg();
-    VRegId Init = Cloner.cloneAt(OrigBody[C.XIdx].VDst, LB);
+    VRegId Init = Cloner.cloneAt(OrigBody[C.XIdx].VDst);
     VInst Copy = VInst::makeVCopy(C.CarryReg, Init);
     Copy.Comment = "carried-value init";
     P.getSetup().push_back(Copy);
     Rename[OrigBody[C.XIdx].VDst.Id] = C.CarryReg;
-    RemovedIdx.insert(C.XIdx);
+    Removed[C.XIdx] = true;
+    CarryAt[C.XIdx] = K;
   }
 
   // Hoist invariants: move them (in order) to Setup unchanged; their
   // operands are invariant registers.
-  for (int Idx : Hoisted) {
-    VInst I = OrigBody[static_cast<size_t>(Idx)];
+  for (size_t Idx = 0; Idx < N; ++Idx) {
+    if (!Hoisted[Idx])
+      continue;
+    VInst I = OrigBody[Idx];
     I.Comment = "hoisted loop invariant";
     P.getSetup().push_back(I);
-    RemovedIdx.insert(Idx);
+    Removed[Idx] = true;
   }
 
   // Rebuild the body without the removed instructions, renaming uses.
   auto Renamed = [&Rename](VRegId R) {
-    auto It = Rename.find(R.Id);
-    return It == Rename.end() ? R : It->second;
+    return Rename[R.Id].isValid() ? Rename[R.Id] : R;
   };
   Block NewBody;
-  NewBody.reserve(OrigBody.size());
-  for (unsigned Idx = 0; Idx < OrigBody.size(); ++Idx) {
-    if (RemovedIdx.count(static_cast<int>(Idx)))
+  NewBody.reserve(N);
+  for (size_t Idx = 0; Idx < N; ++Idx) {
+    if (Removed[Idx])
       continue;
     VInst I = OrigBody[Idx];
     switch (I.Op) {
@@ -218,38 +235,37 @@ unsigned opt::runPredictiveCommoning(VProgram &P, bool MemNorm) {
 
   // Back-edge copies, ordered so that a carry reading another carried
   // register is copied before that register is overwritten (chains only;
-  // Kahn-style emission).
-  std::map<int, const CarryInfo *> ByXIdx;
-  for (const CarryInfo &C : Carries)
-    ByXIdx.emplace(C.XIdx, &C);
-  std::set<int> Emitted;
-  // Copy source register for carry C: Y's value this iteration.
-  auto SourceOf = [&](const CarryInfo &C) {
-    if (auto It = ByXIdx.find(C.YIdx); It != ByXIdx.end())
-      return It->second->CarryReg; // Y itself is carried.
-    return OrigBody[static_cast<size_t>(C.YIdx)].VDst;
-  };
-  while (Emitted.size() < Carries.size()) {
+  // Kahn-style emission). Carry K copies Y's value this iteration, or Y's
+  // carried register when Y is carried itself.
+  const size_t NumCarries = Carries.size();
+  std::vector<VRegId> Source(NumCarries);
+  for (size_t K = 0; K < NumCarries; ++K) {
+    size_t Y = CarryAt[Carries[K].YIdx];
+    Source[K] = Y != None ? Carries[Y].CarryReg
+                          : OrigBody[Carries[K].YIdx].VDst;
+  }
+  std::vector<bool> Emitted(NumCarries, false);
+  size_t NumEmitted = 0;
+  while (NumEmitted < NumCarries) {
     bool Progress = false;
-    for (const CarryInfo &C : Carries) {
-      if (Emitted.count(C.XIdx))
+    for (size_t K = 0; K < NumCarries; ++K) {
+      if (Emitted[K])
         continue;
-      // C's copy overwrites C.CarryReg; every carry that reads that
-      // register's old value (its source is C.CarryReg) must be copied
-      // first.
+      // K's copy overwrites its carried register; every carry that reads
+      // that register's old value (its source is it) must be copied first.
       bool Blocked = false;
-      for (const CarryInfo &Other : Carries)
-        if (!Emitted.count(Other.XIdx) && Other.XIdx != C.XIdx &&
-            SourceOf(Other) == C.CarryReg) {
+      for (size_t O = 0; O < NumCarries; ++O)
+        if (!Emitted[O] && O != K && Source[O] == Carries[K].CarryReg) {
           Blocked = true;
           break;
         }
       if (Blocked)
         continue;
-      VInst Copy = VInst::makeVCopy(C.CarryReg, SourceOf(C));
+      VInst Copy = VInst::makeVCopy(Carries[K].CarryReg, Source[K]);
       Copy.Comment = "carried-value rotate";
       NewBody.push_back(Copy);
-      Emitted.insert(C.XIdx);
+      Emitted[K] = true;
+      ++NumEmitted;
       Progress = true;
     }
     if (!Progress)
@@ -257,5 +273,5 @@ unsigned opt::runPredictiveCommoning(VProgram &P, bool MemNorm) {
   }
 
   P.getBody() = std::move(NewBody);
-  return static_cast<unsigned>(Carries.size() + Hoisted.size());
+  return static_cast<unsigned>(NumCarries + NumHoisted);
 }

@@ -8,15 +8,15 @@
 /// Predictive Commoning [O'Brien 1990], the TPO optimization the paper
 /// leans on as the alternative to software-pipelined code generation: a
 /// value computed in the steady body that equals another body value of the
-/// *previous* iteration (its key at counter i+B matches the other's at i)
-/// is not recomputed; it is carried across the back edge in a register,
-/// initialized once before the loop. Applied to the Figure 7 lowering this
-/// removes the recomputation of vector loads and whole realignment
-/// subtrees, recovering the never-load-twice property without regenerating
-/// code.
+/// *previous* iteration (its value number at counter i+B matches the
+/// other's at i) is not recomputed; it is carried across the back edge in
+/// a register, initialized once before the loop. Applied to the Figure 7
+/// lowering this removes the recomputation of vector loads and whole
+/// realignment subtrees, recovering the never-load-twice property without
+/// regenerating code.
 ///
-/// Loop-invariant body values (key independent of the counter) are hoisted
-/// to Setup outright.
+/// Loop-invariant body values (value number independent of the counter)
+/// are hoisted to Setup outright.
 ///
 /// The introduced copies are subsequently eliminated by
 /// runUnrollRemoveCopies, exactly like the software pipeline's.

@@ -9,7 +9,7 @@
 #include "support/Debug.h"
 #include "vir/VProgram.h"
 
-#include <map>
+#include <algorithm>
 #include <vector>
 
 using namespace simdize;
@@ -18,19 +18,23 @@ using namespace simdize::vir;
 
 namespace {
 
-/// Remaps the registers of the unrolled second instance.
+/// Remaps the registers of the unrolled second instance. Both tables are
+/// indexed by original register; an invalid entry means "not mapped".
 struct InstanceRenamer {
   VProgram &P;
   /// Original work-defined register -> second-instance register.
-  std::map<unsigned, VRegId> Map;
+  std::vector<VRegId> Map;
   /// Carried register -> propagated first-instance source.
-  std::map<unsigned, VRegId> Propagate;
+  std::vector<VRegId> Propagate;
+
+  explicit InstanceRenamer(VProgram &P)
+      : P(P), Map(P.getNumVRegs()), Propagate(P.getNumVRegs()) {}
 
   VRegId use(VRegId R) const {
-    if (auto It = Propagate.find(R.Id); It != Propagate.end())
-      return It->second;
-    if (auto It = Map.find(R.Id); It != Map.end())
-      return It->second;
+    if (Propagate[R.Id].isValid())
+      return Propagate[R.Id];
+    if (Map[R.Id].isValid())
+      return Map[R.Id];
     return R; // Loop invariant from Setup.
   }
 
@@ -77,20 +81,23 @@ unsigned opt::runUnrollRemoveCopies(VProgram &P) {
   // offsets B apart). The second instance must then read the *body-entry*
   // value of the source carry, which coalescing overwrites mid-body; a
   // snapshot copy at the top of the body preserves it.
-  std::map<unsigned, VRegId> CarryOf; // carried reg -> its copy source
+  // Tables indexed by original register; invalid entries are unset.
+  const unsigned NumOrig = P.getNumVRegs();
+  std::vector<VRegId> CarryOf(NumOrig);  // carried reg -> its copy source
   for (auto [Old, Src] : Copies)
     CarryOf[Old.Id] = Src;
+  auto IsCarried = [&](VRegId R) { return CarryOf[R.Id].isValid(); };
 
-  std::map<unsigned, VRegId> Snapshot; // carried reg -> top-of-body snap
+  std::vector<VRegId> Snapshot(NumOrig); // carried reg -> top-of-body snap
   Block Snaps;
   auto SnapshotOf = [&](VRegId Carried) {
-    if (auto It = Snapshot.find(Carried.Id); It != Snapshot.end())
-      return It->second;
+    if (Snapshot[Carried.Id].isValid())
+      return Snapshot[Carried.Id];
     VRegId Snap = P.allocVReg();
     VInst Copy = VInst::makeVCopy(Snap, Carried);
     Copy.Comment = "carry-chain snapshot";
     Snaps.push_back(Copy);
-    Snapshot.emplace(Carried.Id, Snap);
+    Snapshot[Carried.Id] = Snap;
     return Snap;
   };
 
@@ -98,10 +105,9 @@ unsigned opt::runUnrollRemoveCopies(VProgram &P) {
   // carried-register reads forward-propagated — to the first instance's
   // freshly computed source when the source is body-computed, or to the
   // body-entry snapshot when the source is another carry.
-  InstanceRenamer Renamer{P, {}, {}};
+  InstanceRenamer Renamer(P);
   for (auto [Old, Src] : Copies)
-    Renamer.Propagate[Old.Id] =
-        CarryOf.count(Src.Id) ? SnapshotOf(Src) : Src;
+    Renamer.Propagate[Old.Id] = IsCarried(Src) ? SnapshotOf(Src) : Src;
 
   Block Second;
   Second.reserve(Work.size());
@@ -152,40 +158,53 @@ unsigned opt::runUnrollRemoveCopies(VProgram &P) {
   //    first instance's value of Src_j when that is body-computed, or the
   //    body-entry snapshot of Src_j when the chain is deeper.
   //  * Src loop-invariant: the carry never changes; drop the copy.
-  std::map<unsigned, std::vector<VRegId>> BySource; // source -> carried regs
-  for (auto [Old, Src] : Copies)
-    BySource[Src.Id].push_back(Old);
+  // Copies grouped by source register, groups in ascending source order,
+  // copies within a group in body order.
+  std::vector<std::pair<VRegId, VRegId>> BySource = Copies;
+  std::stable_sort(BySource.begin(), BySource.end(),
+                   [](const auto &L, const auto &R) {
+                     return L.second.Id < R.second.Id;
+                   });
 
   Block Extra;
-  for (auto &[SrcId, Olds] : BySource) {
-    if (auto ChainIt = CarryOf.find(SrcId); ChainIt != CarryOf.end()) {
-      VRegId SrcOfSrc = ChainIt->second;
-      VRegId Value = CarryOf.count(SrcOfSrc.Id) ? SnapshotOf(SrcOfSrc)
-                                                : SrcOfSrc;
-      for (VRegId Old : Olds) {
-        VInst Copy = VInst::makeVCopy(Old, Value);
+  // Second-instance source register -> the carried register it becomes.
+  std::vector<VRegId> Coalesce(P.getNumVRegs());
+  for (size_t G = 0; G < BySource.size();) {
+    VRegId Src = BySource[G].second;
+    size_t End = G;
+    while (End < BySource.size() && BySource[End].second == Src)
+      ++End;
+    if (IsCarried(Src)) {
+      VRegId SrcOfSrc = CarryOf[Src.Id];
+      VRegId Value = IsCarried(SrcOfSrc) ? SnapshotOf(SrcOfSrc) : SrcOfSrc;
+      for (size_t K = G; K < End; ++K) {
+        VInst Copy = VInst::makeVCopy(BySource[K].first, Value);
         Copy.Comment = "carry-chain rotate";
         Extra.push_back(Copy);
       }
-      continue;
-    }
-    auto MappedIt = Renamer.Map.find(SrcId);
-    if (MappedIt == Renamer.Map.end())
-      continue; // Loop-invariant source: the carry never changes.
-    VRegId SrcR = MappedIt->second;
-    VRegId Primary = Olds.front();
-    // Rename SrcR -> Primary throughout the second instance.
-    for (VInst &I : Second) {
-      if (I.definesVector() && I.VDst == SrcR)
-        I.VDst = Primary;
-      for (VRegId *Use : {&I.VSrc1, &I.VSrc2})
-        if (*Use == SrcR)
-          *Use = Primary;
-      if (I.Op == VOpcode::VSelect && I.VSrc3 == SrcR)
-        I.VSrc3 = Primary;
-    }
-    for (size_t K = 1; K < Olds.size(); ++K)
-      Extra.push_back(VInst::makeVCopy(Olds[K], Primary));
+    } else if (Renamer.Map[Src.Id].isValid()) {
+      VRegId Primary = BySource[G].first;
+      Coalesce[Renamer.Map[Src.Id].Id] = Primary;
+      for (size_t K = G + 1; K < End; ++K)
+        Extra.push_back(VInst::makeVCopy(BySource[K].first, Primary));
+    } // Else a loop-invariant source: the carry never changes.
+    G = End;
+  }
+
+  // Rename each coalesced source to its primary carried register
+  // throughout the second instance. Sources are fresh registers and
+  // primaries original ones, so the renames never chain.
+  auto Coalesced = [&Coalesce](VRegId &R) {
+    if (R.Id < Coalesce.size() && Coalesce[R.Id].isValid())
+      R = Coalesce[R.Id];
+  };
+  for (VInst &I : Second) {
+    if (I.definesVector())
+      Coalesced(I.VDst);
+    Coalesced(I.VSrc1);
+    Coalesced(I.VSrc2);
+    if (I.Op == VOpcode::VSelect)
+      Coalesced(I.VSrc3);
   }
 
   Block NewBody;

@@ -128,6 +128,7 @@ CompileResult pipeline::runPipeline(const ir::Loop &L,
 
     // The raw program was verified by simdize(); re-prove the optimized
     // one so a pass bug cannot masquerade as a simulation mismatch.
+    obs::Span VerifySp("opt-verify", "opt");
     if (auto Err = vir::verifyProgram(*Res.Simd.Program))
       Res.PostOptVerifyError = "optimized program is invalid: " + *Err;
   }
