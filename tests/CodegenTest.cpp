@@ -106,10 +106,16 @@ TEST(Prologue, MisalignedStoreSplicesOldBytes) {
 
 struct EpilogueCase {
   unsigned StoreAlign;
+  // gtest names each case by dumping this struct's bytes. These four
+  // bytes used to be uninitialised padding, which made the names vary
+  // from run to run; they are now spelled out so every case keeps the
+  // name it was first published under.
+  unsigned char NameBytes[4];
   int64_t UB;
   unsigned ExpectFullStores;    // Unpredicated full epilogue stores.
   unsigned ExpectPartialStores; // Splice-backed epilogue stores.
 };
+static_assert(sizeof(EpilogueCase) == 24, "no padding left to print");
 
 class EpilogueShape : public ::testing::TestWithParam<EpilogueCase> {};
 
@@ -132,12 +138,18 @@ TEST_P(EpilogueShape, MatchesEpiLeftOver) {
 INSTANTIATE_TEST_SUITE_P(
     EpiLeftOverCases, EpilogueShape,
     ::testing::Values(
-        EpilogueCase{0, 100, 0, 0},  // ELO = 0: no epilogue.
-        EpilogueCase{4, 100, 0, 1},  // ELO = 4: partial only.
-        EpilogueCase{12, 101, 1, 0}, // ELO = 12+4 = 16 = V: full only.
-        EpilogueCase{12, 103, 1, 1}, // ELO = 12+12 = 24 > V: full+partial.
-        EpilogueCase{0, 102, 0, 1},  // ELO = 8: partial.
-        EpilogueCase{8, 102, 1, 0}   // ELO = 16: full.
+        // ELO = 0: no epilogue.
+        EpilogueCase{0, {0x65, 0x73, 0x74, 0x5F}, 100, 0, 0},
+        // ELO = 4: partial only.
+        EpilogueCase{4, {0x00, 0x54, 0x65, 0x73}, 100, 0, 1},
+        // ELO = 12+4 = 16 = V: full only.
+        EpilogueCase{12, {0x00, 0x00, 0x00, 0x00}, 101, 1, 0},
+        // ELO = 12+12 = 24 > V: full+partial.
+        EpilogueCase{12, {0x00, 0x00, 0xC0, 0xEF}, 103, 1, 1},
+        // ELO = 8: partial.
+        EpilogueCase{0, {0x00, 0x00, 0x00, 0x00}, 102, 0, 1},
+        // ELO = 16: full.
+        EpilogueCase{8, {0x00, 0x00, 0x00, 0x00}, 102, 1, 0}
         ));
 
 TEST(Epilogue, RuntimeBoundsArePredicated) {
