@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/CorpusIO.h"
 #include "ir/IRBuilder.h"
 #include "ir/Loop.h"
 #include "lower/AltiVecEmitter.h"
@@ -22,11 +23,15 @@
 #include "native/NativeCompile.h"
 #include "native/NativeEmitter.h"
 #include "native/NativeRun.h"
+#include "parser/LoopParser.h"
 #include "pipeline/Pipeline.h"
 #include "sim/Checker.h"
+#include "support/Format.h"
 #include "synth/LoopSynth.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace simdize;
 
@@ -109,6 +114,117 @@ TEST(NativeEmitter, RejectsWidthISAMismatch) {
       native::emitNativeModule({K1, K2}, 32, native::ISA::Shim);
   EXPECT_FALSE(Mixed.ok());
   EXPECT_NE(Mixed.Error.find("simdized for V = 16"), std::string::npos);
+}
+
+/// FNV-1a over a byte string, continuing from \p H.
+uint64_t fnv1a(uint64_t H, const std::string &Bytes) {
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+TEST(NativeEmitter, EmittedModulesArePinned) {
+  // Every module the emitter renders for the corpus plus a seeded synth
+  // sweep, under 5 policies x SP x V = 16/32/64 x every ISA that realizes
+  // the width, hashes to one value. Emission is host-independent, so all
+  // ISAs are pinned everywhere. The module text is the .so cache key's
+  // input: an emitter refactor that claims identical kernels must leave
+  // the hash alone.
+  std::vector<std::unique_ptr<ir::Loop>> Loops;
+  for (const std::string &Path :
+       fuzz::listCorpusFiles(SIMDIZE_CORPUS_DIR)) {
+    std::optional<std::string> Text = fuzz::readCorpusFile(Path);
+    ASSERT_TRUE(Text.has_value()) << Path;
+    parser::ParseResult Parsed = parser::parseLoop(*Text, 64);
+    ASSERT_TRUE(Parsed.ok()) << Path << ": " << Parsed.Error;
+    Loops.push_back(std::make_unique<ir::Loop>(std::move(*Parsed.Loop)));
+  }
+  ASSERT_FALSE(Loops.empty());
+  const ir::ElemType Types[] = {ir::ElemType::Int8, ir::ElemType::Int16,
+                                ir::ElemType::Int32};
+  for (unsigned K = 0; K < 6; ++K) {
+    synth::SynthParams P;
+    P.Statements = 1 + K % 3;
+    P.LoadsPerStmt = 2 + K % 3;
+    P.Ty = Types[K % 3];
+    P.AlignKnown = K % 3 != 1;
+    P.UBKnown = K % 2 == 0;
+    P.GuardProb = K == 3 ? 0.5 : 0.0;
+    P.ReduceProb = K == 4 ? 0.5 : 0.0;
+    P.TripCount = 150 + 17 * K;
+    P.VectorLen = 64;
+    P.Seed = 0x9a11 + K;
+    Loops.push_back(
+        std::make_unique<ir::Loop>(synth::synthesizeLoop(P)));
+  }
+  {
+    // A runtime parameter flows into the signature and a splat.
+    auto L = std::make_unique<ir::Loop>();
+    ir::Array *Out = L->createArray("out", ir::ElemType::Int32, 160, 4, true);
+    ir::Array *X = L->createArray("x", ir::ElemType::Int32, 160, 8, true);
+    ir::Param *Alpha = L->createParam("alpha", 37);
+    L->addStmt(Out, 1, ir::mul(ir::param(Alpha), ir::ref(X, 2)));
+    L->setUpperBound(120, true);
+    Loops.push_back(std::move(L));
+  }
+  {
+    // An if-converted statement renders vx_cmp_* and vx_sel.
+    auto L = std::make_unique<ir::Loop>();
+    ir::Array *G = L->createArray("g", ir::ElemType::Int16, 300, 2, true);
+    ir::Array *X = L->createArray("x", ir::ElemType::Int16, 300, 6, true);
+    L->addIfStmt(G, 2, ir::add(ir::ref(X, 0), ir::splat(1)), ir::ref(X, 3),
+                 ir::CmpKind::NE, ir::splat(4));
+    L->setUpperBound(250, true);
+    Loops.push_back(std::move(L));
+  }
+
+  // The sweep must reach every vector opcode's rendering, so the hash
+  // pins each one.
+  const char *Renderings[] = {"vx_ld(",       "vx_st(",     "vx_sld<",
+                              "vx_shiftpair(", "vx_splice(", "vx_splat_",
+                              "vx_cmp_",      "vx_sel(",    "if (s",
+                              "_image("};
+  std::vector<bool> Seen(std::size(Renderings), false);
+  uint64_t H = 0xcbf29ce484222325ULL;
+  unsigned Emitted = 0;
+  for (const auto &L : Loops)
+    for (unsigned V : {16u, 32u, 64u}) {
+      sim::MemoryLayout Layout(*L, V);
+      for (policies::PolicyKind Policy : policies::allPolicies())
+        for (bool SP : {false, true}) {
+          pipeline::CompileRequest Req;
+          Req.Simd.Policy = Policy;
+          Req.Simd.SoftwarePipelining = SP;
+          Req.Simd.Tgt = Target(V);
+          pipeline::CompileResult R = pipeline::runPipeline(*L, Req);
+          H = fnv1a(H, R.ConfigName);
+          if (!R.Simd.ok()) {
+            H = fnv1a(H, "rejected:" + R.Simd.Error);
+            continue;
+          }
+          native::KernelSpec Spec{&*R.Simd.Program, L.get(), "kern", {}};
+          for (const auto &A : L->getArrays())
+            Spec.ArrayBases.push_back(Layout.baseOf(A.get()));
+          for (native::ISA Isa : native::AllISAs) {
+            if (!native::isaSupportsWidth(Isa, V))
+              continue;
+            lower::LowerResult M = native::emitNativeModule({Spec}, V, Isa);
+            ASSERT_TRUE(M.ok()) << M.Error;
+            H = fnv1a(H, M.Code);
+            ++Emitted;
+            for (size_t K = 0; K < Seen.size(); ++K)
+              Seen[K] = Seen[K] || M.Code.find(Renderings[K]) != std::string::npos;
+          }
+        }
+    }
+
+  EXPECT_GT(Emitted, 400u);
+  for (size_t K = 0; K < Seen.size(); ++K)
+    EXPECT_TRUE(Seen[K]) << Renderings[K];
+  EXPECT_EQ(H, 0x048a8ea4d0304e53ULL) << strf("pinned hash is 0x%016llx",
+                               static_cast<unsigned long long>(H));
 }
 
 TEST(NativeISA, WidthAdmissibilityAndNames) {
