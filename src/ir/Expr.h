@@ -156,7 +156,7 @@ const char *binOpSpelling(BinOpKind Op);
 
 /// Returns an instruction-style mnemonic ("add", "sub", "mul", "min",
 /// "max", "and", "or", "xor") used by the vector IR printer and the
-/// AltiVec emitter.
+/// kernel emitter's vx_* names.
 const char *binOpMnemonic(BinOpKind Op);
 
 /// Returns true for operators that may be freely regrouped and reordered.

@@ -15,8 +15,23 @@ using namespace simdize;
 using namespace simdize::lower;
 using namespace simdize::vir;
 
-std::string KernelEmitter::signature(const ir::Loop &L,
-                                     const std::string &FnName) {
+namespace {
+
+const char *laneSuffix(unsigned ElemSize) {
+  switch (ElemSize) {
+  case 1:
+    return "i8";
+  case 2:
+    return "i16";
+  case 4:
+    return "i32";
+  }
+  simdize_unreachable("unsupported lane width");
+}
+
+} // namespace
+
+std::string KernelEmitter::emitKernel(const std::string &FnName) const {
   // Signature: one byte pointer per array, one long per scalar
   // parameter, then the trip count.
   std::string Out = "void " + FnName + "(";
@@ -24,12 +39,7 @@ std::string KernelEmitter::signature(const ir::Loop &L,
     Out += strf("unsigned char *%s, ", A->getName().c_str());
   for (const auto &Prm : L.getParams())
     Out += strf("long %s, ", Prm->getName().c_str());
-  Out += "long ub)";
-  return Out;
-}
-
-std::string KernelEmitter::emitKernel(const std::string &FnName) const {
-  std::string Out = signature(L, FnName) + " {\n";
+  Out += "long ub) {\n";
   Out += "  (void)ub;\n";
 
   // Register declarations. Only registers the program references are
@@ -86,7 +96,7 @@ std::string KernelEmitter::emitKernel(const std::string &FnName) const {
     if (SUsed[K])
       SDecl += strf("%s s%u = 0", SDecl.empty() ? "" : ",", K);
   if (!VDecl.empty())
-    Out += "  " + vectorType() + VDecl + ";\n";
+    Out += "  vx_t" + VDecl + ";\n";
   if (!SDecl.empty())
     Out += "  long" + SDecl + ";\n";
   if (P.hasTripCountParam())
@@ -151,18 +161,6 @@ std::string KernelEmitter::address(const Address &A) const {
               static_cast<long long>(A.ElemOffset));
 }
 
-const char *KernelEmitter::laneSuffix(unsigned ElemSize) {
-  switch (ElemSize) {
-  case 1:
-    return "i8";
-  case 2:
-    return "i16";
-  case 4:
-    return "i32";
-  }
-  simdize_unreachable("unsupported lane width");
-}
-
 std::string KernelEmitter::stmt(const VInst &I) const {
   std::string S = bareStmt(I);
   if (I.Predicate)
@@ -175,14 +173,38 @@ std::string KernelEmitter::stmt(const VInst &I) const {
 std::string KernelEmitter::bareStmt(const VInst &I) const {
   switch (I.Op) {
   case VOpcode::VLoad:
+    return strf("v%u = vx_ld(%s);", I.VDst.Id, address(I.Addr).c_str());
   case VOpcode::VStore:
+    return strf("vx_st(%s, v%u);", address(I.Addr).c_str(), I.VSrc1.Id);
   case VOpcode::VSplat:
-  case VOpcode::VShiftPair:
+    return strf("v%u = vx_splat_%s(%s);", I.VDst.Id, laneSuffix(I.ElemSize),
+                operand(I.SOp1).c_str());
+  case VOpcode::VShiftPair: {
+    if (I.SOp1.isImm()) {
+      int64_t Shift = I.SOp1.getImm();
+      if (Shift == 0)
+        return strf("v%u = v%u;", I.VDst.Id, I.VSrc1.Id);
+      if (Shift == static_cast<int64_t>(P.getVectorLen()))
+        return strf("v%u = v%u;", I.VDst.Id, I.VSrc2.Id);
+      return strf("v%u = vx_sld<%lld>(v%u, v%u);", I.VDst.Id,
+                  static_cast<long long>(Shift), I.VSrc1.Id, I.VSrc2.Id);
+    }
+    return strf("v%u = vx_shiftpair(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
+                I.VSrc2.Id, operand(I.SOp1).c_str());
+  }
   case VOpcode::VSplice:
+    return strf("v%u = vx_splice(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
+                I.VSrc2.Id, operand(I.SOp1).c_str());
   case VOpcode::VBinOp:
+    return strf("v%u = vx_%s_%s(v%u, v%u);", I.VDst.Id,
+                ir::binOpMnemonic(I.VectorOp), laneSuffix(I.ElemSize),
+                I.VSrc1.Id, I.VSrc2.Id);
   case VOpcode::VCmp:
+    return strf("v%u = vx_cmp_%s_%s(v%u, v%u);", I.VDst.Id, sCmpName(I.CmpOp),
+                laneSuffix(I.ElemSize), I.VSrc1.Id, I.VSrc2.Id);
   case VOpcode::VSelect:
-    return vectorStmt(I);
+    return strf("v%u = vx_sel(v%u, v%u, v%u);", I.VDst.Id, I.VSrc1.Id,
+                I.VSrc2.Id, I.VSrc3.Id);
   case VOpcode::VCopy:
     return strf("v%u = v%u;", I.VDst.Id, I.VSrc1.Id);
   case VOpcode::SConst:

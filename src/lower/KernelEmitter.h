@@ -1,19 +1,19 @@
-//===- lower/KernelEmitter.h - Shared kernel-emission scaffolding ---------===//
+//===- lower/KernelEmitter.h - vir::VProgram -> vx_* kernel C++ -----------===//
 //
 // Part of the simdize project (PLDI 2004 alignment-constrained simdization).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The backend-independent half of lowering a vir::VProgram to compilable
-/// C++: the kernel signature convention, register declarations, parameter
-/// binding, the Setup / steady-loop / Epilogue skeleton, scalar-instruction
-/// rendering, and predication/comment wrapping. Target backends (the
-/// AltiVec shim emitter and the native x86 emitter) subclass this and
-/// provide only the vector-instruction selection, so the two emitters
-/// cannot drift on the parts that define the ABI.
+/// Lowering a vir::VProgram to compilable C++: the kernel signature
+/// convention, register declarations, parameter binding, the Setup /
+/// steady-loop / Epilogue skeleton, scalar-instruction rendering,
+/// predication/comment wrapping, and the vector-instruction selection onto
+/// the vx_* wrapper layer of native/simdize_x86.h. native::NativeEmitter
+/// wraps the kernels this renders into translation units; it is the only
+/// path from a program to C++.
 ///
-/// Two ABIs are emitted from the same scaffolding:
+/// Two ABIs are emitted:
 ///
 ///   void FnName(unsigned char *<array0>, ..., long <param0>, ..., long ub)
 ///
@@ -26,6 +26,16 @@
 /// that bakes in the sim::MemoryLayout base offsets and forwards
 /// Args = [<param0>, ..., ub], so a dlopen'd kernel can run directly on a
 /// dumped sim::Memory image.
+///
+/// Section 2.2 of the paper maps the generic operations onto AltiVec. The
+/// vx_* names keep that mapping one call per operation; at V = 16 an
+/// AltiVec rendering of the same kernel would substitute
+///
+///   vx_ld / vx_st              vec_ld / vec_st (truncating)
+///   vx_sld<N>                  vec_sld(A, B, N)
+///   vx_shiftpair(A, B, S)      vec_perm(A, B, vec_lvsl(S, 0))
+///   vx_splice / vx_sel         vec_sel with a byte mask
+///   vx_splat_*                 vec_splat
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,20 +59,22 @@ class VProgram;
 
 namespace lower {
 
-/// Renders one program's instructions as C++ statements. Subclasses
-/// provide the vector type name and the vector-instruction selection;
-/// everything that defines the calling convention lives here.
+/// Outcome of lowering: the kernel source, or the reason the program has
+/// no rendering for the requested target.
+struct LowerResult {
+  std::string Code;
+  std::string Error;
+  bool ok() const { return Error.empty(); }
+};
+
+/// Renders one program's instructions as C++ statements over vx_t
+/// registers.
 class KernelEmitter {
 public:
   KernelEmitter(const vir::VProgram &P, const ir::Loop &L) : P(P), L(L) {}
-  virtual ~KernelEmitter() = default;
 
   /// Renders the complete kernel function `FnName`.
   std::string emitKernel(const std::string &FnName) const;
-
-  /// The shared signature (no trailing `{`):
-  ///   void FnName(unsigned char *<array0>, ..., long <param0>, ..., long ub)
-  static std::string signature(const ir::Loop &L, const std::string &FnName);
 
   /// The `extern "C"` memory-image adapter for \p FnName. \p ArrayBases
   /// are the byte offsets of \p L's arrays inside the image, in array
@@ -72,29 +84,16 @@ public:
                                       const std::string &FnName,
                                       const std::vector<int64_t> &ArrayBases);
 
-protected:
-  /// The C++ type of one vector register ("sv_t", "vx_t", ...).
-  virtual std::string vectorType() const = 0;
-
-  /// Renders one vector-category instruction (VLoad, VStore, VSplat,
-  /// VShiftPair, VSplice, VBinOp) as a statement, without predication or
-  /// comment decoration.
-  virtual std::string vectorStmt(const vir::VInst &I) const = 0;
-
+private:
   /// A scalar operand: "s<reg>" or the immediate.
   std::string operand(const vir::ScalarOperand &Op) const;
-
   /// Byte address of a stride-one access.
   std::string address(const vir::Address &A) const;
-
-  static const char *laneSuffix(unsigned ElemSize);
+  std::string stmt(const vir::VInst &I) const;
+  std::string bareStmt(const vir::VInst &I) const;
 
   const vir::VProgram &P;
   const ir::Loop &L;
-
-private:
-  std::string stmt(const vir::VInst &I) const;
-  std::string bareStmt(const vir::VInst &I) const;
 };
 
 } // namespace lower

@@ -8,17 +8,25 @@
 
 #include "support/Format.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <vector>
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace simdize;
 using namespace simdize::native;
@@ -66,11 +74,57 @@ std::string readFile(const std::string &Path) {
   return Out.str();
 }
 
-std::string compileFlags(ISA Isa) {
-  std::string Flags = "-std=c++20 -O2 -fPIC -shared";
-  for (const std::string &F : isaCompileFlags(Isa))
-    Flags += " " + F;
+std::vector<std::string> compileFlagList(ISA Isa) {
+  std::vector<std::string> Flags = {"-std=c++20", "-O2", "-fPIC", "-shared"};
+  for (std::string &F : isaCompileFlags(Isa))
+    Flags.push_back(std::move(F));
   return Flags;
+}
+
+/// The flags as one space-separated string: the form the cache key hashes.
+std::string compileFlags(ISA Isa) {
+  std::string Flags;
+  for (const std::string &F : compileFlagList(Isa)) {
+    if (!Flags.empty())
+      Flags += ' ';
+    Flags += F;
+  }
+  return Flags;
+}
+
+/// Runs \p Argv (Argv[0] looked up on PATH like a shell would) with
+/// stderr redirected to \p LogPath and waits for it. Returns an empty
+/// string on exit status 0, else why it failed. No shell is involved, so
+/// no byte of any argument is interpreted.
+std::string runCompiler(const std::vector<std::string> &Argv,
+                        const std::string &LogPath) {
+  std::vector<char *> Ptrs;
+  for (const std::string &A : Argv)
+    Ptrs.push_back(const_cast<char *>(A.c_str()));
+  Ptrs.push_back(nullptr);
+
+  posix_spawn_file_actions_t Actions;
+  posix_spawn_file_actions_init(&Actions);
+  posix_spawn_file_actions_addopen(&Actions, STDERR_FILENO, LogPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t Pid = 0;
+  int Rc = posix_spawnp(&Pid, Ptrs[0], &Actions, nullptr, Ptrs.data(),
+                        environ);
+  posix_spawn_file_actions_destroy(&Actions);
+  if (Rc != 0)
+    return strf("cannot start: %s", std::strerror(Rc));
+
+  int Status = 0;
+  while (waitpid(Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return strf("waitpid failed: %s", std::strerror(errno));
+  if (WIFEXITED(Status))
+    return WEXITSTATUS(Status) == 0
+               ? std::string()
+               : strf("exit status %d", WEXITSTATUS(Status));
+  if (WIFSIGNALED(Status))
+    return strf("killed by signal %d", WTERMSIG(Status));
+  return strf("wait status %d", Status);
 }
 
 /// The module key given the header's own FNV-1a hash, so compileAndLoad
@@ -121,8 +175,7 @@ const CompiledModule *native::compileAndLoad(const std::string &Source,
                                              ISA Isa, std::string *Error) {
   static const uint64_t HeaderHash = fnv1a(FnvBasis, wrapperHeaderText());
   std::string Compiler = compilerPath();
-  std::string Flags = compileFlags(Isa);
-  uint64_t Key = moduleKey(Compiler, Flags, HeaderHash, Source);
+  uint64_t Key = moduleKey(Compiler, compileFlags(Isa), HeaderHash, Source);
 
   CacheState &C = cache();
   std::lock_guard<std::mutex> Lock(C.Mu);
@@ -152,15 +205,15 @@ const CompiledModule *native::compileAndLoad(const std::string &Source,
         *Error = "cannot write kernel source under " + Dir;
       return nullptr;
     }
-    std::string Cmd =
-        strf("\"%s\" %s -I \"%s\" -o \"%s\" \"%s\" 2> \"%s\"",
-             Compiler.c_str(), Flags.c_str(), SIMDIZE_NATIVE_INCLUDE_DIR,
-             SoTmp.c_str(), Cpp.c_str(), Log.c_str());
-    int Rc = std::system(Cmd.c_str());
-    if (Rc != 0) {
+    std::vector<std::string> Argv = compileFlagList(Isa);
+    Argv.insert(Argv.begin(), Compiler);
+    Argv.insert(Argv.end(),
+                {"-I", SIMDIZE_NATIVE_INCLUDE_DIR, "-o", SoTmp, Cpp});
+    std::string Why = runCompiler(Argv, Log);
+    if (!Why.empty()) {
       ++C.Stats.Failures;
       if (Error)
-        *Error = strf("'%s' failed (exit %d): %s", Compiler.c_str(), Rc,
+        *Error = strf("'%s' failed (%s): %s", Compiler.c_str(), Why.c_str(),
                       readFile(Log).c_str());
       std::filesystem::remove(Cpp, EC);
       std::filesystem::remove(SoTmp, EC);

@@ -14,6 +14,10 @@
 /// change to the generator, the simdize_x86.h wrappers or the toolchain
 /// misses cleanly.
 ///
+/// The compiler runs as a child process started by posix_spawn with an
+/// argument vector, so no shell ever reads the cache path or the flags;
+/// its stderr goes to a log beside the object and becomes the error text.
+///
 /// The compiler defaults to the one this project was built with
 /// (SIMDIZE_NATIVE_CXX, set by CMake); the SIMDIZE_NATIVE_CXX environment
 /// variable overrides it, and SIMDIZE_NATIVE_CACHE overrides the on-disk

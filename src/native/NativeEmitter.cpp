@@ -7,70 +7,11 @@
 #include "native/NativeEmitter.h"
 
 #include "ir/Loop.h"
-#include "lower/KernelEmitter.h"
-#include "support/Debug.h"
 #include "support/Format.h"
 #include "vir/VProgram.h"
 
 using namespace simdize;
 using namespace simdize::native;
-using namespace simdize::vir;
-
-namespace {
-
-/// Selects the vx_* operation for each vector instruction; everything
-/// else is the shared lower::KernelEmitter scaffolding.
-class NativeKernelEmitter final : public lower::KernelEmitter {
-public:
-  using KernelEmitter::KernelEmitter;
-
-private:
-  std::string vectorType() const override { return "vx_t"; }
-
-  std::string vectorStmt(const VInst &I) const override {
-    switch (I.Op) {
-    case VOpcode::VLoad:
-      return strf("v%u = vx_ld(%s);", I.VDst.Id, address(I.Addr).c_str());
-    case VOpcode::VStore:
-      return strf("vx_st(%s, v%u);", address(I.Addr).c_str(), I.VSrc1.Id);
-    case VOpcode::VSplat:
-      return strf("v%u = vx_splat_%s(%s);", I.VDst.Id,
-                  laneSuffix(I.ElemSize), operand(I.SOp1).c_str());
-    case VOpcode::VShiftPair: {
-      if (I.SOp1.isImm()) {
-        int64_t Shift = I.SOp1.getImm();
-        if (Shift == 0)
-          return strf("v%u = v%u;", I.VDst.Id, I.VSrc1.Id);
-        if (Shift == static_cast<int64_t>(P.getVectorLen()))
-          return strf("v%u = v%u;", I.VDst.Id, I.VSrc2.Id);
-        return strf("v%u = vx_sld<%lld>(v%u, v%u);", I.VDst.Id,
-                    static_cast<long long>(Shift), I.VSrc1.Id, I.VSrc2.Id);
-      }
-      return strf("v%u = vx_shiftpair(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
-                  I.VSrc2.Id, operand(I.SOp1).c_str());
-    }
-    case VOpcode::VSplice:
-      return strf("v%u = vx_splice(v%u, v%u, %s);", I.VDst.Id, I.VSrc1.Id,
-                  I.VSrc2.Id, operand(I.SOp1).c_str());
-    case VOpcode::VBinOp:
-      return strf("v%u = vx_%s_%s(v%u, v%u);", I.VDst.Id,
-                  ir::binOpMnemonic(I.VectorOp), laneSuffix(I.ElemSize),
-                  I.VSrc1.Id, I.VSrc2.Id);
-    case VOpcode::VCmp:
-      return strf("v%u = vx_cmp_%s_%s(v%u, v%u);", I.VDst.Id,
-                  sCmpName(I.CmpOp), laneSuffix(I.ElemSize), I.VSrc1.Id,
-                  I.VSrc2.Id);
-    case VOpcode::VSelect:
-      return strf("v%u = vx_sel(v%u, v%u, v%u);", I.VDst.Id, I.VSrc1.Id,
-                  I.VSrc2.Id, I.VSrc3.Id);
-    default:
-      break;
-    }
-    simdize_unreachable("non-vector opcode in vectorStmt");
-  }
-};
-
-} // namespace
 
 lower::LowerResult
 native::emitNativeModule(const std::vector<KernelSpec> &Kernels,
@@ -110,7 +51,7 @@ native::emitNativeModule(const std::vector<KernelSpec> &Kernels,
   Out += "#include \"simdize_x86.h\"\n";
   for (const KernelSpec &K : Kernels) {
     Out += "\n";
-    Out += NativeKernelEmitter(*K.Program, *K.Loop).emitKernel(K.Name);
+    Out += lower::KernelEmitter(*K.Program, *K.Loop).emitKernel(K.Name);
     if (!K.ArrayBases.empty())
       Out += lower::KernelEmitter::emitImageWrapper(*K.Loop, K.Name,
                                                     K.ArrayBases);

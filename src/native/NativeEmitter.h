@@ -9,17 +9,18 @@
 /// programs as C++ over the vx_* wrapper layer (simdize_x86.h), one
 /// translation unit per (vector width, ISA) pair, many kernels per unit
 /// so batch consumers (the differential ctest, the benches, the fuzzer)
-/// amortize one system-compiler invocation over a whole work list. The
-/// scaffolding — signature, parameter binding, loop skeleton, scalar
-/// instructions — is the shared lower::KernelEmitter, so this backend
-/// cannot drift from the AltiVec emitter on the ABI.
+/// amortize one system-compiler invocation over a whole work list. Each
+/// kernel body — signature, parameter binding, loop skeleton, scalar and
+/// vx_* instructions — is rendered by lower::KernelEmitter. At V = 16 the
+/// portable shim ISA is the paper's AltiVec model; KernelEmitter.h lists
+/// the vx_* to AltiVec correspondence.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIMDIZE_NATIVE_NATIVEEMITTER_H
 #define SIMDIZE_NATIVE_NATIVEEMITTER_H
 
-#include "lower/AltiVecEmitter.h"
+#include "lower/KernelEmitter.h"
 #include "native/NativeISA.h"
 
 #include <cstdint>
