@@ -118,13 +118,11 @@ std::string runCompiler(const std::vector<std::string> &Argv,
   while (waitpid(Pid, &Status, 0) < 0)
     if (errno != EINTR)
       return strf("waitpid failed: %s", std::strerror(errno));
-  if (WIFEXITED(Status))
-    return WEXITSTATUS(Status) == 0
-               ? std::string()
-               : strf("exit status %d", WEXITSTATUS(Status));
-  if (WIFSIGNALED(Status))
+  if (!WIFEXITED(Status))
     return strf("killed by signal %d", WTERMSIG(Status));
-  return strf("wait status %d", Status);
+  if (WEXITSTATUS(Status) != 0)
+    return strf("exit status %d", WEXITSTATUS(Status));
+  return std::string();
 }
 
 /// The module key given the header's own FNV-1a hash, so compileAndLoad

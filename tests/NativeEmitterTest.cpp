@@ -35,6 +35,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <type_traits>
 
@@ -574,30 +575,37 @@ TEST(NativeCompile, CacheDirWithShellMetacharacters) {
 }
 
 TEST(NativeCompile, CompilerFailureReportsExitStatus) {
-  // A compiler that exits non-zero is reported by its exit status, not a
+  // A failing compiler is reported by its exit status or signal, not a
   // raw wait status; one that cannot be started says so.
-  std::filesystem::path Dir =
-      std::filesystem::path(::testing::TempDir()) /
-      strf("simdize_spawn_fail_%ld", static_cast<long>(getpid()));
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::path(::testing::TempDir()) /
+                 strf("simdize_spawn_fail_%ld", static_cast<long>(getpid()));
+  fs::create_directories(Dir);
   ScopedEnv Cache("SIMDIZE_NATIVE_CACHE", Dir.string());
-  const std::string Source = "// never compiled\n";
+  fs::path Killed = Dir / "killed-cxx";
   {
-    ScopedEnv Cxx("SIMDIZE_NATIVE_CXX", "false");
-    std::string Error;
-    EXPECT_EQ(native::compileAndLoad(Source, native::ISA::Shim, &Error),
-              nullptr);
-    EXPECT_NE(Error.find("'false' failed (exit status 1)"),
-              std::string::npos)
-        << Error;
+    std::ofstream Script(Killed);
+    Script << "#!/bin/sh\nkill -KILL $$\n";
   }
-  {
-    ScopedEnv Cxx("SIMDIZE_NATIVE_CXX", "/nonexistent/simdize-cxx");
+  fs::permissions(Killed, fs::perms::owner_all);
+
+  struct {
+    std::string Compiler;
+    std::string Expected;
+  } Cases[] = {
+      {"false", "'false' failed (exit status 1)"},
+      {Killed.string(), "failed (killed by signal 9)"},
+      {"/nonexistent/simdize-cxx", "failed (cannot start: "},
+  };
+  for (const auto &[Compiler, Expected] : Cases) {
+    ScopedEnv Cxx("SIMDIZE_NATIVE_CXX", Compiler);
     std::string Error;
-    EXPECT_EQ(native::compileAndLoad(Source, native::ISA::Shim, &Error),
+    EXPECT_EQ(native::compileAndLoad("// never compiled\n", native::ISA::Shim,
+                                     &Error),
               nullptr);
-    EXPECT_NE(Error.find("cannot start"), std::string::npos) << Error;
+    EXPECT_NE(Error.find(Expected), std::string::npos) << Error;
   }
-  std::filesystem::remove_all(Dir);
+  fs::remove_all(Dir);
 }
 
 TEST(NativeCache, RepeatedCompileHitsCache) {
