@@ -118,7 +118,7 @@ int main(int Argc, char **Argv) {
         pipeline::CompileResult R = pipeline::runPipeline(L, Req);
         if (!R.ok())
           continue;
-        const ir::Loop &Run = R.ReassocLoop ? *R.ReassocLoop : L;
+        const ir::Loop &Run = R.checkedLoop(L);
         Placed += R.Simd.ShiftCount;
         Minimum += static_cast<double>(
             synth::computeLowerBound(Run, 16, Policy).Shifts);

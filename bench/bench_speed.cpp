@@ -215,7 +215,7 @@ BENCHMARK(BM_ExecuteNative);
 /// items_per_second = configurations checked per second. Baseline is the
 /// pre-PR pipeline (reference interpreter, chunk tracking, a fresh scalar
 /// oracle per check); Fast is what runFuzz now does (decoded engine, one
-/// OracleCache per seed).
+/// unbounded ReferenceImageCache per seed).
 void checkThroughput(benchmark::State &State, bool Fast) {
   ir::Loop L = synth::synthesizeLoop(benchLoopParams());
   std::vector<vir::VProgram> Programs;
@@ -229,10 +229,10 @@ void checkThroughput(benchmark::State &State, bool Fast) {
   uint64_t Checked = 0;
   for (auto _ : State) {
     if (Fast) {
-      sim::OracleCache Oracle(L, 7);
+      sim::ReferenceImageCache Images(/*MaxEntries=*/0);
       for (const vir::VProgram &P : Programs) {
-        sim::CheckResult C =
-            sim::checkSimdization(L, P, Oracle.get(P.getVectorLen()));
+        sim::CheckResult C = sim::checkSimdization(
+            L, P, *Images.get(0, L, P.getVectorLen(), 7));
         benchmark::DoNotOptimize(C.Ok);
       }
     } else {
@@ -268,7 +268,7 @@ BENCHMARK(BM_CheckThroughputFast);
 /// timed region, as a fuzz sweep amortizes it across seeds too.
 void BM_CheckThroughputNative(benchmark::State &State) {
   ir::Loop L = synth::synthesizeLoop(benchLoopParams());
-  sim::OracleCache Oracle(L, 7);
+  sim::ReferenceImageCache Images(/*MaxEntries=*/0);
   std::vector<vir::VProgram> Programs;
   for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L)) {
     pipeline::CompileResult R = pipeline::runPipeline(L, C);
@@ -278,7 +278,7 @@ void BM_CheckThroughputNative(benchmark::State &State) {
   }
   native::NativeBatch Batch(native::bestISAForWidth(16));
   for (const vir::VProgram &P : Programs)
-    Batch.add(L, P, Oracle.get(P.getVectorLen()).getLayout());
+    Batch.add(L, P, Images.get(0, L, P.getVectorLen(), 7)->getLayout());
   std::string Err;
   if (!Batch.compile(&Err)) {
     State.SkipWithError(("native compile failed: " + Err).c_str());
@@ -288,7 +288,8 @@ void BM_CheckThroughputNative(benchmark::State &State) {
   uint64_t Checked = 0;
   for (auto _ : State) {
     for (size_t I = 0; I < Programs.size(); ++I) {
-      const sim::ReferenceImage &Ref = Oracle.get(Programs[I].getVectorLen());
+      const sim::ReferenceImage &Ref =
+          *Images.get(0, L, Programs[I].getVectorLen(), 7);
       sim::Memory M = Ref.getInitial();
       native::runNativeOnMemory(Batch.kernel(I), M);
       benchmark::DoNotOptimize(M == Ref.getExpected());

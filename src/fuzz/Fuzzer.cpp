@@ -9,7 +9,6 @@
 #include "fuzz/CorpusIO.h"
 #include "fuzz/Shrinker.h"
 #include "ir/Loop.h"
-#include "native/NativeRun.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "support/Format.h"
@@ -28,7 +27,8 @@ using namespace simdize::fuzz;
 
 std::vector<FuzzConfig> fuzz::configsForLoop(const ir::Loop &L,
                                              unsigned VectorLen,
-                                             const std::string &PolicyFilter) {
+                                             const std::string &PolicyFilter,
+                                             pipeline::ExecTier Tier) {
   bool AllAlignKnown = true;
   for (const auto &A : L.getArrays())
     AllAlignKnown &= A->isAlignmentKnown();
@@ -43,6 +43,7 @@ std::vector<FuzzConfig> fuzz::configsForLoop(const ir::Loop &L,
         C.Simd.Tgt = Target(VectorLen);
         C.Opt = Opt;
         C.AutoPolicy = Auto;
+        C.Tier = Tier;
         Configs.push_back(std::move(C));
       }
   };
@@ -68,8 +69,8 @@ std::vector<FuzzConfig> fuzz::configsForLoop(const ir::Loop &L,
 RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
                                 uint64_t CheckSeed,
                                 const ProgramMutator &Mutator,
-                                sim::OracleCache *Oracle, bool Oracles,
-                                bool NativeDiff) {
+                                sim::ReferenceImageCache *Images,
+                                bool Oracles) {
   // The raw-program window of the facade: mutations hit the program
   // before the property oracles and the optimizer — an injected bug can
   // hide behind neither.
@@ -139,36 +140,15 @@ RunResult fuzz::runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
   // oracle will consume it.
   sim::CheckOptions CO;
   CO.TrackChunkLoads = Oracles && C.exploitsReuse();
-  sim::CheckResult Check;
-  if (Oracle) {
-    // Bulk path: the scalar reference run is shared across configurations
-    // (and, on a width sweep, across vector lengths).
-    sim::CheckContext Ctx{C.name()};
-    Check = sim::checkSimdization(L, *P.Simd.Program, Oracle->get(VectorLen),
-                                  &Ctx, CO);
-  } else {
-    Check = pipeline::checkCompiled(L, P, CheckSeed, "", CO);
-  }
+  sim::CheckResult Check =
+      Images ? pipeline::checkCompiled(
+                   L, P, *Images->get(/*LoopKey=*/0, L, VectorLen, CheckSeed),
+                   "", CO)
+             : pipeline::checkCompiled(L, P, CheckSeed, "", CO);
   if (!Check.Ok)
     return Tagged(RunStatus::Failed, Check.Message,
                   Check.VerifierFailed ? oracle::FailureKind::Verifier
                                        : oracle::FailureKind::Mismatch);
-
-  // The native axis: the dlopen'd kernel must reproduce the expected image
-  // the VM was just verified against. The no-cache branch rebuilds the
-  // reference exactly as checkCompiled does, so the shrinker (which runs
-  // without a shared oracle) reproduces native-only failures faithfully.
-  if (NativeDiff) {
-    auto Diff = [&](const sim::ReferenceImage &Ref) {
-      return native::diffNativeAgainstOracle(L, *P.Simd.Program, Ref);
-    };
-    auto Err = Oracle ? Diff(Oracle->get(VectorLen))
-                      : Diff(sim::ReferenceImage(L, VectorLen, CheckSeed));
-    if (Err)
-      return Tagged(RunStatus::Failed,
-                    strf("[%s] %s", C.name().c_str(), Err->c_str()),
-                    oracle::FailureKind::Mismatch);
-  }
 
   if (Oracles) {
     if (C.exploitsReuse())
@@ -301,7 +281,8 @@ std::string renderRunRecord(uint64_t Seed, const FuzzConfig &C,
 /// Runs every applicable configuration at every width of the sweep for one
 /// seed. Pure in the seed (and the mutator): resynthesizes the loop from
 /// paramsForSeed at the widest width — so all widths exercise the *same*
-/// loop — and shares one OracleCache (keyed by width) across every run.
+/// loop — and shares one unbounded ReferenceImageCache (one image per
+/// width) across every run.
 static SeedOutcome runOneSeed(uint64_t Seed, const FuzzOptions &Opts,
                               const std::vector<unsigned> &Widths,
                               unsigned MaxWidth) {
@@ -309,12 +290,13 @@ static SeedOutcome runOneSeed(uint64_t Seed, const FuzzOptions &Opts,
   ir::Loop L = synth::synthesizeLoop(
       paramsForSeed(Seed, MaxWidth, Opts.Guards, Opts.Reductions));
   uint64_t CheckSeed = Seed ^ 0xc0ffee;
-  sim::OracleCache Oracle(L, CheckSeed);
+  sim::ReferenceImageCache Images(/*MaxEntries=*/0);
 
   for (unsigned W : Widths) {
-    for (const FuzzConfig &C : configsForLoop(L, W, Opts.PolicyFilter)) {
-      RunResult R = runConfigOnLoop(L, C, CheckSeed, Opts.Mutator, &Oracle,
-                                    Opts.Oracles, Opts.NativeDiff);
+    for (const FuzzConfig &C :
+         configsForLoop(L, W, Opts.PolicyFilter, Opts.Tier)) {
+      RunResult R = runConfigOnLoop(L, C, CheckSeed, Opts.Mutator, &Images,
+                                    Opts.Oracles);
       if (Opts.MetricsOut) {
         Out.Metrics.push_back(renderRunRecord(Seed, C, R));
         if (R.Status == RunStatus::Verified) {
@@ -436,13 +418,13 @@ FuzzStats fuzz::runFuzz(const FuzzOptions &Opts) {
             [&](const ir::Loop &Cand) {
               RunResult R = runConfigOnLoop(Cand, F.Config, CheckSeed,
                                             Opts.Mutator, nullptr,
-                                            Opts.Oracles, Opts.NativeDiff);
+                                            Opts.Oracles);
               return R.Status == RunStatus::Failed && R.Kind == F.Kind;
             },
             nullptr, F.Config.Simd.vectorLen());
         std::string Why =
             runConfigOnLoop(Minimized, F.Config, CheckSeed, Opts.Mutator,
-                            nullptr, Opts.Oracles, Opts.NativeDiff)
+                            nullptr, Opts.Oracles)
                 .Message;
         // The same minimized loop failing the same way is one bug, no
         // matter how many seeds or configurations hit it: keep the first,

@@ -12,7 +12,7 @@
 /// SynthParams (including degenerate trip counts the validity guard must
 /// reject cleanly) across every applicable pipeline configuration, runs
 /// the scalar interpreter against the SIMD VM through
-/// sim::checkSimdization, and on any mismatch or verifier failure invokes
+/// pipeline::checkCompiled, and on any mismatch or verifier failure invokes
 /// the Shrinker and emits the minimized loop as parseable corpus text.
 ///
 //===----------------------------------------------------------------------===//
@@ -40,9 +40,6 @@ class Loop;
 namespace vir {
 class VProgram;
 } // namespace vir
-namespace sim {
-class OracleCache;
-} // namespace sim
 
 namespace fuzz {
 
@@ -63,10 +60,11 @@ using OptLevel = pipeline::OptLevel;
 /// always applicable (it resolves to zero-shift under runtime
 /// alignments). \p PolicyFilter restricts the axis to one policy by its
 /// CLI spelling ("zero".."optimal", or "auto" for only the auto configs);
-/// empty means all.
-std::vector<FuzzConfig> configsForLoop(const ir::Loop &L,
-                                       unsigned VectorLen = 16,
-                                       const std::string &PolicyFilter = "");
+/// empty means all. Every configuration runs on execution tier \p Tier.
+std::vector<FuzzConfig>
+configsForLoop(const ir::Loop &L, unsigned VectorLen = 16,
+               const std::string &PolicyFilter = "",
+               pipeline::ExecTier Tier = pipeline::ExecTier::VM);
 
 /// Outcome classification of one (loop, config) run.
 enum class RunStatus {
@@ -97,21 +95,19 @@ struct RunResult {
 using ProgramMutator = std::function<void(vir::VProgram &)>;
 
 /// Runs one configuration end to end (simdize, mutate, property-check,
-/// optimize, simulate, check) and classifies the outcome. Deterministic
-/// in (\p L, \p C, \p CheckSeed). When \p Oracle is given it must be
-/// built from (\p L, \p CheckSeed); the scalar reference run and memory
-/// image are then shared across every configuration checked through it
-/// instead of being recomputed per call. \p Oracles enables the property
-/// oracles (never-load-twice, shift counts, OPD bound, VVerifier on the
-/// mutated program) on top of the bit-equality check.
-/// \p NativeDiff additionally compiles every checked program to host
-/// intrinsics (native backend, best host ISA), runs the dlopen'd kernel,
-/// and requires the full memory image to match the scalar expected image.
+/// optimize, pipeline::checkCompiled) and classifies the outcome.
+/// Deterministic in (\p L, \p C, \p CheckSeed). When \p Images is given
+/// it must hold only images of (\p L, \p CheckSeed) under LoopKey 0, and
+/// \p C must not reassociate offsets; the scalar reference run and memory
+/// image are then shared across every configuration checked through it.
+/// \p Oracles enables the property oracles (never-load-twice, shift
+/// counts, OPD bound, VVerifier on the mutated program) on top of the
+/// bit-equality check.
 RunResult runConfigOnLoop(const ir::Loop &L, const FuzzConfig &C,
                           uint64_t CheckSeed,
                           const ProgramMutator &Mutator = {},
-                          sim::OracleCache *Oracle = nullptr,
-                          bool Oracles = true, bool NativeDiff = false);
+                          sim::ReferenceImageCache *Images = nullptr,
+                          bool Oracles = true);
 
 /// The fuzzer's input distribution: derives the synthesizer parameters for
 /// one seed. Exposed so a failure is reproducible from its seed alone.
@@ -150,11 +146,10 @@ struct FuzzOptions {
   /// Run the property oracles on every run (the --oracles flag; on by
   /// default). Bit-equality checking is unconditional.
   bool Oracles = true;
-  /// The native differential axis (the --native flag): every verified run
-  /// is additionally lowered to host intrinsics, compiled, dlopen'd, and
-  /// raced against the scalar expected image. Off by default — it invokes
-  /// the system compiler per generated program.
-  bool NativeDiff = false;
+  /// The execution tier of every generated configuration: Native (the
+  /// --native flag) adds the native differential to each check. VM by
+  /// default — the native tier invokes the system compiler per program.
+  pipeline::ExecTier Tier = pipeline::ExecTier::VM;
   /// When set, one JSON record per (seed, config) run is written here as
   /// JSONL, followed by a final aggregate record with histogram
   /// percentiles. Records are emitted during the seed-order merge, so the

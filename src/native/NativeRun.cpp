@@ -132,6 +132,8 @@ std::optional<std::string>
 native::diffNativeAgainstOracle(const ir::Loop &L, const vir::VProgram &P,
                                 const sim::ReferenceImage &Ref,
                                 std::optional<ISA> Requested) {
+  if (auto Why = Ref.mismatch(L, P.getVectorLen()))
+    return "reference image mismatch: " + *Why;
   ISA Want = Requested ? *Requested : bestISAForWidth(P.getVectorLen());
   std::string Error;
   ISA Used = Want;

@@ -133,7 +133,8 @@ NativeKernel prepareNativeKernel(const ir::Loop &L, const vir::VProgram &P,
 /// The native differential: runs \p P natively on \p Ref's initial image
 /// and compares the full resulting image against the scalar oracle's
 /// expected bytes. nullopt on bit-identity; otherwise a diagnostic
-/// (first differing byte, or the compile failure). \p Requested defaults
+/// (first differing byte, the compile failure, or an image built at
+/// another width or from another loop than \p L). \p Requested defaults
 /// to the best host ISA for the program's width.
 std::optional<std::string>
 diffNativeAgainstOracle(const ir::Loop &L, const vir::VProgram &P,

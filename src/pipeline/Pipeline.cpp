@@ -137,12 +137,11 @@ CompileResult pipeline::runPipeline(const ir::Loop &L,
 
 sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
                                          const CompileResult &R,
-                                         uint64_t CheckSeed,
+                                         const sim::ReferenceImage &Ref,
                                          const std::string &SchemeName,
                                          const sim::CheckOptions &Opts) {
-  const ir::Loop &Checked = R.ReassocLoop ? *R.ReassocLoop : L;
+  const ir::Loop &Checked = R.checkedLoop(L);
   sim::CheckContext Ctx{SchemeName.empty() ? R.ConfigName : SchemeName};
-  sim::ReferenceImage Ref(Checked, R.Simd.Program->getVectorLen(), CheckSeed);
   sim::CheckResult C =
       sim::checkSimdization(Checked, *R.Simd.Program, Ref, &Ctx, Opts);
   if (C.Ok && R.Tier == ExecTier::Native) {
@@ -156,4 +155,14 @@ sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
     }
   }
   return C;
+}
+
+sim::CheckResult pipeline::checkCompiled(const ir::Loop &L,
+                                         const CompileResult &R,
+                                         uint64_t CheckSeed,
+                                         const std::string &SchemeName,
+                                         const sim::CheckOptions &Opts) {
+  sim::ReferenceImage Ref(R.checkedLoop(L), R.Simd.Program->getVectorLen(),
+                          CheckSeed);
+  return checkCompiled(L, R, Ref, SchemeName, Opts);
 }

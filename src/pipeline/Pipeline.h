@@ -136,7 +136,7 @@ struct CompileResult {
 
   /// When the request asked for offset reassociation, the rewritten loop
   /// the program was compiled from (the caller's loop is left untouched);
-  /// checkCompiled() selects it automatically.
+  /// checkedLoop() selects it.
   std::optional<ir::Loop> ReassocLoop;
 
   /// Statements offset reassociation rewrote.
@@ -167,6 +167,12 @@ struct CompileResult {
     return Simd.ok() && !HookAborted && !PostOptVerifyError;
   }
 
+  /// The loop the program computes: the reassociated clone, if any, else
+  /// \p Source (the loop passed to runPipeline).
+  const ir::Loop &checkedLoop(const ir::Loop &Source) const {
+    return ReassocLoop ? *ReassocLoop : Source;
+  }
+
   /// Flattened failure diagnostic: the simdizer's error or the post-opt
   /// verification error. Empty when ok() (or when the hook aborted — the
   /// hook reports its own reason).
@@ -187,12 +193,18 @@ struct CompileResult {
 CompileResult runPipeline(const ir::Loop &L, const CompileRequest &Req,
                           const PipelineHooks &Hooks = {});
 
-/// Bit-equality check of a compiled result against the scalar oracle
-/// (sim::checkSimdization over a patterned image seeded with
-/// \p CheckSeed). \p L must be the loop \p R was compiled from; when the
-/// request reassociated offsets the rewritten loop is used instead.
-/// \p SchemeName overrides the diagnostic attribution (defaults to the
-/// request's config name); \p Opts forwards per-check switches.
+/// The one check of a compiled program: bit-equality against the scalar
+/// oracle image \p Ref (sim::checkSimdization), then, on the Native tier,
+/// the native differential on the same image. \p L must be the loop \p R
+/// was compiled from and \p Ref an image of R.checkedLoop(L) at the
+/// program's width. \p SchemeName overrides the diagnostic attribution
+/// (defaults to the request's config name); \p Opts forwards switches.
+sim::CheckResult checkCompiled(const ir::Loop &L, const CompileResult &R,
+                               const sim::ReferenceImage &Ref,
+                               const std::string &SchemeName = "",
+                               const sim::CheckOptions &Opts = {});
+
+/// As above, over a fresh patterned image seeded with \p CheckSeed.
 sim::CheckResult checkCompiled(const ir::Loop &L, const CompileResult &R,
                                uint64_t CheckSeed,
                                const std::string &SchemeName = "",

@@ -8,7 +8,6 @@
 
 #include "codegen/Explain.h"
 #include "ir/IRPrinter.h"
-#include "native/NativeRun.h"
 #include "obs/Json.h"
 #include "obs/Prometheus.h"
 #include "parser/LoopParser.h"
@@ -215,26 +214,16 @@ std::string Service::doCheck(const Request &R, uint64_t *MemoKey,
   } else {
     Reg.count("server.verdict.misses");
     auto T0 = std::chrono::steady_clock::now();
-    // Mirrors pipeline::checkCompiled, but the scalar oracle comes from
-    // the shared content-addressed reference-image cache: when the
-    // request reassociated offsets the rewritten loop is the one the
-    // program computes, so both the image and its key follow it.
-    const ir::Loop &Checked =
-        E->Result.ReassocLoop ? *E->Result.ReassocLoop : *E->SourceLoop;
+    // The scalar oracle comes from the shared content-addressed image
+    // cache, keyed by the loop the program computes (the rewritten one
+    // when the request reassociated offsets).
+    const ir::Loop &Checked = E->Result.checkedLoop(*E->SourceLoop);
     uint64_t LoopKey =
         CompileCache::hashBytes(14695981039346656037ULL, ir::printLoop(Checked));
     std::shared_ptr<const sim::ReferenceImage> Ref = RefImages.get(
         LoopKey, Checked, E->Result.Simd.Program->getVectorLen(), R.Seed);
-    sim::CheckContext Ctx{E->Result.ConfigName};
     sim::CheckResult C =
-        sim::checkSimdization(Checked, *E->Result.Simd.Program, *Ref, &Ctx);
-    if (C.Ok && E->Result.Tier == pipeline::ExecTier::Native) {
-      if (auto NErr = native::diffNativeAgainstOracle(
-              Checked, *E->Result.Simd.Program, *Ref)) {
-        C.Ok = false;
-        C.Message = "[" + Ctx.Scheme + "] " + *NErr;
-      }
-    }
+        pipeline::checkCompiled(*E->SourceLoop, E->Result, *Ref);
     V.Ok = C.Ok;
     V.Message = C.Message;
     Cache.recordVerdict(Key, R.Seed, V);
@@ -267,8 +256,7 @@ std::string Service::doExplain(const Request &R, uint64_t *MemoKey,
 
   // Explanation is legitimate for rejected loops too — the log carries
   // the classified error — so no CompileError gate here.
-  const ir::Loop &Run =
-      E->Result.ReassocLoop ? *E->Result.ReassocLoop : *E->SourceLoop;
+  const ir::Loop &Run = E->Result.checkedLoop(*E->SourceLoop);
   codegen::SimdizeOptions Used = R.Config.Simd;
   Used.Policy = E->Result.ResolvedPolicy;
   obs::DecisionLog Log = codegen::explainSimdization(Run, Used, E->Result.Simd);

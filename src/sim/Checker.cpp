@@ -36,6 +36,17 @@ ReferenceImage::ReferenceImage(const ir::Loop &L, const ReferenceImage &Src)
          "rebinding an image across structurally different loops");
 }
 
+std::optional<std::string>
+ReferenceImage::mismatch(const ir::Loop &L, unsigned VectorLen) const {
+  if (getVectorLen() != VectorLen)
+    return strf("built at V = %u, program runs at V = %u", getVectorLen(),
+                VectorLen);
+  if (!Layout.covers(L))
+    return std::string("does not place the checked loop's arrays (built "
+                       "from another loop)");
+  return std::nullopt;
+}
+
 std::shared_ptr<const ReferenceImage>
 ReferenceImageCache::get(uint64_t LoopKey, const ir::Loop &L,
                          unsigned VectorLen, uint64_t Seed) {
@@ -165,6 +176,11 @@ CheckResult sim::checkSimdization(const ir::Loop &L, const vir::VProgram &P,
   std::string Under =
       Ctx && !Ctx->Scheme.empty() ? " under scheme " + Ctx->Scheme : "";
 
+  if (auto Why = Ref.mismatch(L, P.getVectorLen())) {
+    Result.Message = "reference image mismatch" + Under + ": " + *Why;
+    return Result;
+  }
+
   {
     obs::Span Sp("vverify", "sim");
     if (auto Err = vir::verifyProgram(P)) {
@@ -173,9 +189,6 @@ CheckResult sim::checkSimdization(const ir::Loop &L, const vir::VProgram &P,
       return Result;
     }
   }
-  assert(Ref.getVectorLen() == P.getVectorLen() &&
-         "reference image built for a different vector length");
-
   Memory Actual = Ref.getInitial();
   if (Opts.UseReferenceEngine) {
     obs::Span Sp("execute", "sim");

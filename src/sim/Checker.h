@@ -13,9 +13,9 @@
 ///
 /// The scalar side of the check — layout, patterned image, reference run —
 /// depends only on (loop, seed, vector length), not on the program under
-/// test. ReferenceImage captures it once; OracleCache shares it across the
-/// ~24 configurations the fuzzer checks per seed, so the scalar interpreter
-/// and the pattern fill run once per seed instead of once per config.
+/// test. ReferenceImage captures it once; ReferenceImageCache shares it
+/// across every program checked against the same (loop, width, seed).
+/// Compiled programs are checked through pipeline::checkCompiled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -97,6 +98,12 @@ public:
   unsigned getVectorLen() const { return Layout.getVectorLen(); }
   uint64_t getSeed() const { return Seed; }
 
+  /// Why this image cannot check a program of width \p VectorLen over
+  /// \p L (another width, or a layout not built from \p L itself), or
+  /// nullopt when it can.
+  std::optional<std::string> mismatch(const ir::Loop &L,
+                                      unsigned VectorLen) const;
+
 private:
   MemoryLayout Layout;
   Memory Initial;
@@ -104,15 +111,14 @@ private:
   uint64_t Seed;
 };
 
-/// Thread-safe, content-addressed generalization of the per-(loop, seed)
-/// OracleCache: ReferenceImages shared across loops, seeds, and widths,
-/// keyed by (LoopKey, VectorLen, Seed), where LoopKey is any stable hash
-/// of the loop's canonical text (0 is fine when the caller owns a single
-/// loop). Entries are handed out as shared_ptr so LRU eviction never
-/// invalidates a borrower; MaxEntries of 0 means unbounded. The compile
-/// server keys this by its content hash so millions of check requests
-/// re-verify a small working set of loops without rebuilding the scalar
-/// oracle each time.
+/// Thread-safe, content-addressed ReferenceImages shared across loops,
+/// seeds, and widths, keyed by (LoopKey, VectorLen, Seed), where LoopKey
+/// is any stable hash of the loop's canonical text (0 or an index is fine
+/// when the caller owns its loops). Entries are handed out as shared_ptr
+/// so LRU eviction never invalidates a borrower; MaxEntries of 0 means
+/// unbounded. The compile server keys this by its content hash so
+/// millions of check requests re-verify a small working set of loops
+/// without rebuilding the scalar oracle each time.
 class ReferenceImageCache {
 public:
   struct Stats {
@@ -150,31 +156,13 @@ private:
   Stats St;
 };
 
-/// Lazily-built ReferenceImages for one (loop, seed), keyed by vector
-/// length (all fuzzer configs use V = 16, so this normally holds a single
-/// entry). A thin veneer over an unbounded ReferenceImageCache, so
-/// references returned by get() stay valid for the cache lifetime.
-class OracleCache {
-public:
-  OracleCache(const ir::Loop &L, uint64_t Seed)
-      : L(L), Seed(Seed), Cache(/*MaxEntries=*/0) {}
-
-  const ReferenceImage &get(unsigned VectorLen) {
-    return *Cache.get(/*LoopKey=*/0, L, VectorLen, Seed);
-  }
-
-private:
-  const ir::Loop &L;
-  uint64_t Seed;
-  ReferenceImageCache Cache;
-};
-
 /// Verifies that \p P computes exactly what the loop behind \p Ref
 /// computes: runs \p P (on the decoded engine unless \p Opts says
 /// otherwise) over a copy of the initial image and compares bit-for-bit
-/// against the precomputed scalar result. \p L is used only to attribute a
-/// mismatching byte to an array element and its owning statement; it must
-/// be the loop \p Ref was built from.
+/// against the precomputed scalar result. \p L attributes a mismatching
+/// byte to an array element and its owning statement; it must be the loop
+/// \p Ref was built from, at \p P's width — otherwise the result is a
+/// failure naming the mismatch, and \p P is not run.
 CheckResult checkSimdization(const ir::Loop &L, const vir::VProgram &P,
                              const ReferenceImage &Ref,
                              const CheckContext *Ctx = nullptr,

@@ -8,7 +8,7 @@
 /// Regression gate over tests/corpus/: every committed .loop file must
 /// parse, round-trip through the corpus printer, and run clean (verified
 /// or cleanly rejected, never Failed) under every applicable pipeline
-/// configuration. Fuzz failures get minimized into this directory, so a
+/// configuration at V = 16, 32 and 64. Fuzz failures get minimized into this directory, so a
 /// loop landing here once keeps its bug fixed forever.
 ///
 //===----------------------------------------------------------------------===//
@@ -55,14 +55,17 @@ TEST(Corpus, EveryFileRunsCleanUnderAllConfigs) {
     SCOPED_TRACE(Path);
     auto Text = fuzz::readCorpusFile(Path);
     ASSERT_TRUE(Text.has_value());
-    parser::ParseResult Parsed = parser::parseLoop(*Text);
+    // Parsed at the widest width (it only bounds `align` literals), as
+    // simdize-fuzz --replay does; every width then compiles the same loop.
+    parser::ParseResult Parsed = parser::parseLoop(*Text, 64);
     ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
     const ir::Loop &L = *Parsed.Loop;
-    for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L)) {
-      fuzz::RunResult R = fuzz::runConfigOnLoop(L, C, 2004);
-      EXPECT_NE(R.Status, fuzz::RunStatus::Failed)
-          << C.name() << ": " << R.Message;
-    }
+    for (unsigned W : {16u, 32u, 64u})
+      for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L, W)) {
+        fuzz::RunResult R = fuzz::runConfigOnLoop(L, C, 2004);
+        EXPECT_NE(R.Status, fuzz::RunStatus::Failed)
+            << C.name() << ": " << R.Message;
+      }
   }
 }
 

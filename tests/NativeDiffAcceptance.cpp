@@ -72,7 +72,9 @@ struct Unit {
 int main() {
   // Owning stores; deques so references handed to Units never move.
   std::deque<ir::Loop> Loops;
-  std::deque<sim::OracleCache> Oracles;
+  // Images keyed by the loop's index in Loops; unbounded, so every image a
+  // Unit borrows lives as long as the cache.
+  sim::ReferenceImageCache Images(/*MaxEntries=*/0);
   std::deque<pipeline::CompileResult> Results;
   std::map<unsigned, std::vector<Unit>> ByWidth;
   uint64_t Rejected = 0;
@@ -84,9 +86,9 @@ int main() {
   // width so the three widths of a seed differ) — across the sweep every
   // policy x SP x opt-level cell is hit many times per width.
   auto AddConfigs = [&](const std::string &TagBase, bool Fuzz,
-                        uint64_t Rotate) {
+                        uint64_t Rotate, uint64_t CheckSeed) {
     const ir::Loop &L = Loops.back();
-    sim::OracleCache &Oracle = Oracles.back();
+    uint64_t LoopKey = Loops.size() - 1;
     for (size_t WI = 0; WI < 3; ++WI) {
       unsigned W = Widths[WI];
       std::vector<fuzz::FuzzConfig> Configs = fuzz::configsForLoop(L, W);
@@ -108,7 +110,8 @@ int main() {
         Results.push_back(std::move(R));
         ByWidth[W].push_back({std::move(Tag), &L,
                               &*Results.back().Simd.Program,
-                              &Oracle.get(W), Fuzz});
+                              Images.get(LoopKey, L, W, CheckSeed).get(),
+                              Fuzz});
       }
     }
   };
@@ -139,15 +142,13 @@ int main() {
       continue;
     }
     Loops.push_back(std::move(*Parsed.Loop));
-    Oracles.emplace_back(Loops.back(), /*Seed=*/2004);
-    AddConfigs(F.filename().string(), /*Fuzz=*/false, 0);
+    AddConfigs(F.filename().string(), /*Fuzz=*/false, 0, /*CheckSeed=*/2004);
   }
 
   for (uint64_t Seed = FuzzStart; Seed < FuzzStart + FuzzSeeds; ++Seed) {
     Loops.push_back(synth::synthesizeLoop(fuzz::paramsForSeed(Seed, 64)));
-    Oracles.emplace_back(Loops.back(), Seed ^ 0xc0ffee);
     AddConfigs(strf("seed%llu", static_cast<unsigned long long>(Seed)),
-               /*Fuzz=*/true, Seed);
+               /*Fuzz=*/true, Seed, Seed ^ 0xc0ffee);
   }
 
   // Run everything, batched per width.

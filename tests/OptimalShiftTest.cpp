@@ -27,6 +27,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <climits>
+#include <functional>
+#include <optional>
 
 using namespace simdize;
 using namespace simdize::policies;
@@ -237,6 +241,123 @@ TEST(OptimalShift, NeverWorseThanPaperPoliciesOnCorpus) {
         }
   }
   EXPECT_GT(Checked, 0u);
+}
+
+/// Visits every placement of statement \p S at width \p V with at most one
+/// shift per edge: each Op node computing a defined stream takes every
+/// lane-multiple offset in [0, V), and a shift (reorg::wrapWithShift) goes
+/// on exactly the edges whose child produces another offset than its
+/// parent — or, at the root, than the store — needs. Returns the minimum
+/// countSteadyShifts over those placements, indexed by software
+/// pipelining off/on; \p Placements counts them.
+std::array<unsigned, 2> exhaustiveMinimum(const ir::Stmt &S, unsigned V,
+                                          uint64_t &Placements) {
+  Graph G = buildGraph(S, V);
+  computeStreamOffsets(G);
+  unsigned Ops = 0;
+  std::function<void(const Node &)> Count = [&](const Node &N) {
+    Ops += N.getKind() == NodeKind::Op && N.Offset.isDefined();
+    for (const auto &C : N.Children)
+      Count(*C);
+  };
+  Count(G.root());
+
+  std::vector<int64_t> Lanes;
+  for (int64_t O = 0; O < static_cast<int64_t>(V); O += G.ElemSize)
+    Lanes.push_back(O);
+  int64_t StoreOff = G.storeOffset().getConstant();
+
+  // One graph serves every placement: the shifts a placement wraps around
+  // slots are unwrapped again before the next one. Definedness of a
+  // node's offset is the same in every placement, so it can be read from
+  // the graph as last computed.
+  std::vector<std::unique_ptr<Node> *> Wrapped;
+  auto Wrap = [&](std::unique_ptr<Node> &Slot, int64_t To) {
+    wrapWithShift(Slot, StreamOffset::constant(To));
+    Wrapped.push_back(&Slot);
+  };
+  std::vector<size_t> Pick(Ops, 0); // Lanes index per op, in pre-order.
+  size_t Next = 0;
+  // Places the subtree in Slot; returns the offset it produces, or nullopt
+  // for a splat-only (⊥) subtree.
+  std::function<std::optional<int64_t>(std::unique_ptr<Node> &)> Place =
+      [&](std::unique_ptr<Node> &Slot) -> std::optional<int64_t> {
+    Node &N = *Slot;
+    if (!N.Offset.isDefined())
+      return std::nullopt;
+    if (N.getKind() == NodeKind::Load)
+      return N.Offset.getConstant();
+    int64_t At = Lanes[Pick[Next++]];
+    for (auto &C : N.Children)
+      if (std::optional<int64_t> Got = Place(C); Got && *Got != At)
+        Wrap(C, At);
+    return At;
+  };
+
+  std::array<unsigned, 2> Best = {UINT_MAX, UINT_MAX};
+  for (;;) {
+    Next = 0;
+    std::unique_ptr<Node> &Src = G.root().Children[0];
+    if (std::optional<int64_t> Got = Place(Src); Got && *Got != StoreOff)
+      Wrap(Src, StoreOff);
+    computeStreamOffsets(G);
+    EXPECT_EQ(verifyGraph(G), std::nullopt);
+    for (bool SP : {false, true})
+      Best[SP] = std::min(Best[SP], countSteadyShifts(G, SP));
+    ++Placements;
+    for (auto It = Wrapped.rbegin(); It != Wrapped.rend(); ++It)
+      **It = std::move((**It)->Children[0]);
+    Wrapped.clear();
+
+    size_t K = 0;
+    while (K < Ops && ++Pick[K] == Lanes.size())
+      Pick[K++] = 0;
+    if (K == Ops)
+      return Best;
+  }
+}
+
+TEST(OptimalShift, MatchesExhaustiveEnumeration) {
+  // The DP claims the minimum steady shift count over all valid
+  // placements; the other tests only bound it by the paper's policies.
+  // Here every placement of small synthesized assignments (at most four
+  // leaves, so at most three ops) is enumerated at every width, with and
+  // without software pipelining.
+  const ir::ElemType Types[] = {ir::ElemType::Int32, ir::ElemType::Int16,
+                                ir::ElemType::Int8};
+  uint64_t Placements = 0;
+  unsigned Stmts = 0;
+  for (uint64_t Seed = 1; Seed <= 36; ++Seed) {
+    synth::SynthParams P;
+    P.Statements = 1;
+    P.LoadsPerStmt = 1 + static_cast<unsigned>(Seed % 4);
+    P.Ty = Types[(Seed / 4) % 3];
+    P.Bias = 0.3;
+    P.Reuse = 0.3;
+    P.VectorLen = 64;
+    P.TripCount = 200;
+    P.Seed = Seed;
+    ir::Loop L = synth::synthesizeLoop(P);
+    ASSERT_TRUE(allAlignKnown(L));
+    for (size_t K = 0; K < L.getStmts().size(); ++K) {
+      const ir::Stmt &S = *L.getStmts()[K];
+      ASSERT_EQ(S.getKind(), ir::StmtKind::Assign);
+      for (unsigned V : {16u, 32u, 64u}) {
+        Graph Free = buildGraph(S, V);
+        std::array<unsigned, 2> Exhaustive =
+            exhaustiveMinimum(S, V, Placements);
+        for (bool SP : {false, true})
+          EXPECT_EQ(OptimalShiftPolicy::minimalSteadyShifts(Free, SP),
+                    Exhaustive[SP])
+              << "seed " << Seed << " stmt " << K << " V=" << V
+              << " sp=" << SP << "\n"
+              << printGraph(Free);
+      }
+      ++Stmts;
+    }
+  }
+  EXPECT_EQ(Stmts, 36u);
+  EXPECT_GT(Placements, 10000u);
 }
 
 TEST(LaneMultiple, SharedTestAgreesWithDefinition) {

@@ -95,15 +95,16 @@ using support::parseU64;
 using support::parseWidthList;
 
 /// Runs one corpus file through every applicable configuration at every
-/// requested width; returns false on any Failed outcome.
-bool replayFile(const std::string &Path, bool Oracles, bool NativeDiff,
-                const std::vector<unsigned> &Widths) {
+/// width of \p Opts, on its tier and with its oracles; returns false on any
+/// Failed outcome.
+bool replayFile(const std::string &Path, const fuzz::FuzzOptions &Opts) {
   auto Text = fuzz::readCorpusFile(Path);
   if (!Text) {
     std::fprintf(stderr, "error: cannot read %s\n", Path.c_str());
     return false;
   }
-  unsigned MaxWidth = *std::max_element(Widths.begin(), Widths.end());
+  unsigned MaxWidth =
+      *std::max_element(Opts.Widths.begin(), Opts.Widths.end());
   parser::ParseResult Parsed = parser::parseLoop(*Text, MaxWidth);
   if (!Parsed.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", Path.c_str(),
@@ -114,10 +115,12 @@ bool replayFile(const std::string &Path, bool Oracles, bool NativeDiff,
   std::printf("%s:\n%s", Path.c_str(), ir::printLoop(L).c_str());
 
   bool Ok = true;
-  for (unsigned W : Widths) {
-    for (const fuzz::FuzzConfig &C : fuzz::configsForLoop(L, W)) {
+  sim::ReferenceImageCache Images(/*MaxEntries=*/0);
+  for (unsigned W : Opts.Widths) {
+    for (const fuzz::FuzzConfig &C :
+         fuzz::configsForLoop(L, W, /*PolicyFilter=*/"", Opts.Tier)) {
       fuzz::RunResult R =
-          fuzz::runConfigOnLoop(L, C, 2004, {}, nullptr, Oracles, NativeDiff);
+          fuzz::runConfigOnLoop(L, C, 2004, {}, &Images, Opts.Oracles);
       bool Failed = R.Status == fuzz::RunStatus::Failed;
       std::string Verdict = R.Status == fuzz::RunStatus::Verified ? "ok"
                             : R.Status == fuzz::RunStatus::Rejected
@@ -166,7 +169,7 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--no-oracles")
       Opts.Oracles = false;
     else if (Arg == "--native")
-      Opts.NativeDiff = true;
+      Opts.Tier = pipeline::ExecTier::Native;
     else if (Arg == "--guards")
       Opts.Guards = true;
     else if (Arg == "--reductions")
@@ -238,7 +241,7 @@ int main(int Argc, char **Argv) {
       return usage(Argv[0]);
     bool Ok = true;
     for (const std::string &Path : ReplayFiles)
-      Ok &= replayFile(Path, Opts.Oracles, Opts.NativeDiff, Opts.Widths);
+      Ok &= replayFile(Path, Opts);
     return Ok ? 0 : 1;
   }
 

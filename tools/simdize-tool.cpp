@@ -268,7 +268,7 @@ int runTool(const ToolOptions &Opts) {
 
   // The loop the program was actually compiled from (the reassociated
   // clone when --reassoc changed anything).
-  const ir::Loop &Run = R.ReassocLoop ? *R.ReassocLoop : L;
+  const ir::Loop &Run = R.checkedLoop(L);
   if (R.Reassociated)
     std::printf("reassociated %u statement(s):\n%s\n", R.Reassociated,
                 ir::printLoop(Run).c_str());
