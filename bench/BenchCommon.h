@@ -27,6 +27,23 @@
 namespace simdize {
 namespace bench {
 
+/// Writes \p Text + '\n' to \p Path, checking every step through
+/// fclose (which flushes, so a full device fails there); false, with a
+/// stderr note, on any failure.
+inline bool writeTextFile(const std::string &Path, const std::string &Text) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F) {
+    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+    return false;
+  }
+  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
+  Ok = std::fputc('\n', F) != EOF && Ok;
+  Ok = std::fclose(F) == 0 && Ok;
+  if (!Ok)
+    std::fprintf(stderr, "error: short write to %s\n", Path.c_str());
+  return Ok;
+}
+
 /// Machine-readable run records for the bench mains: `--metrics=FILE`
 /// dumps an obs::Registry JSON of every recorded suite next to the table
 /// the harness prints. The flag parser doubles as the benches' CLI
@@ -78,19 +95,7 @@ public:
   /// was requested. Call last — the result is the process exit status's
   /// I/O component.
   bool write() const {
-    if (!enabled())
-      return true;
-    std::FILE *F = std::fopen(Path.c_str(), "wb");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot open %s for writing\n",
-                   Path.c_str());
-      return false;
-    }
-    std::string Json = Reg.toJson();
-    std::fputs(Json.c_str(), F);
-    std::fputc('\n', F);
-    std::fclose(F);
-    return true;
+    return !enabled() || writeTextFile(Path, Reg.toJson());
   }
 
 private:
@@ -107,8 +112,7 @@ private:
 /// envelope, so tools/simdize-report can aggregate any bench output and
 /// diff it run over run without per-bench parsers. Gates carry their own
 /// pass verdict — the bench decides the direction, the report only reads
-/// it. (BENCH_speed.json is the one exception: google-benchmark owns that
-/// format, and simdize-report recognizes it separately.)
+/// it.
 class BenchReport {
 public:
   explicit BenchReport(std::string Bench) : Bench(std::move(Bench)) {}
@@ -163,18 +167,7 @@ public:
   /// Writes toJson() + '\n' to \p Path; false (with a stderr note) on
   /// I/O failure.
   bool write(const std::string &Path) const {
-    std::FILE *F = std::fopen(Path.c_str(), "wb");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
-      return false;
-    }
-    std::string Json = toJson();
-    bool Ok = std::fwrite(Json.data(), 1, Json.size(), F) == Json.size();
-    Ok = std::fputc('\n', F) != EOF && Ok;
-    Ok = std::fclose(F) == 0 && Ok;
-    if (!Ok)
-      std::fprintf(stderr, "error: short write to %s\n", Path.c_str());
-    return Ok;
+    return writeTextFile(Path, toJson());
   }
 
 private:

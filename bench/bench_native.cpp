@@ -8,14 +8,13 @@
 /// The perf claim of the native execution tier, measured: steady-state
 /// synthesized kernels are compiled under every shift policy at V = 16,
 /// 32, and 64, then each program is timed three ways over the same
-/// memory image — the scalar interpreter, the decoded VM, and the
-/// dlopen'd native kernel (best host ISA per width). The native kernel is
-/// timed twice: per call with the image staged in (what a caller of
-/// runNativeOnMemory pays), and kernel-only on an image staged once.
-/// Reports a ns/element table, the wall-clock-vs-OPD correlation per tier
-/// and width (the paper's cost model is operations per datum; this checks
-/// how far that proxy tracks real time), and writes everything as
-/// BENCH_native.json (--out=FILE overrides).
+/// memory image: on the decoded VM, and as the dlopen'd native kernel
+/// (best host ISA per width) both per call with the image staged in (what
+/// a caller of runNativeOnMemory pays) and kernel-only on an image staged
+/// once. Reports a ns/element table and writes it, with the gates below,
+/// as BENCH_native.json (--out=FILE overrides). The OPD-vs-time
+/// correlation and the host compiler's scalar baselines are reported by
+/// perfbench's `kernels` workload.
 ///
 /// Gates, each failing the run with exit 1:
 ///   - the geometric-mean native-vs-decoded-VM speedup across the matrix
@@ -35,7 +34,6 @@
 #include "policies/Policies.h"
 #include "sim/Checker.h"
 #include "sim/Decoder.h"
-#include "sim/ScalarInterp.h"
 #include "support/Format.h"
 #include "synth/LoopSynth.h"
 
@@ -44,7 +42,6 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -96,37 +93,13 @@ template <typename Fn> double timeNsPerCall(Fn &&F) {
   }
 }
 
-/// Pearson correlation; NaN when either side is constant (no variance to
-/// correlate) or fewer than two samples exist.
-double pearson(const std::vector<double> &X, const std::vector<double> &Y) {
-  if (X.size() != Y.size() || X.size() < 2)
-    return std::nan("");
-  double N = static_cast<double>(X.size());
-  double SX = 0, SY = 0;
-  for (size_t I = 0; I < X.size(); ++I) {
-    SX += X[I];
-    SY += Y[I];
-  }
-  double MX = SX / N, MY = SY / N;
-  double Cov = 0, VX = 0, VY = 0;
-  for (size_t I = 0; I < X.size(); ++I) {
-    Cov += (X[I] - MX) * (Y[I] - MY);
-    VX += (X[I] - MX) * (X[I] - MX);
-    VY += (Y[I] - MY) * (Y[I] - MY);
-  }
-  if (VX <= 0 || VY <= 0)
-    return std::nan("");
-  return Cov / std::sqrt(VX * VY);
-}
-
 struct Row {
   std::string Loop;
   std::string Policy;
   unsigned Width = 0;
   const char *Isa = "";
   double Opd = 0;
-  double ScalarNs = 0; ///< All Ns fields are ns per element.
-  double VmNs = 0;
+  double VmNs = 0;     ///< All Ns fields are ns per element.
   double NativeNs = 0; ///< Staging + kernel.
   double KernelNs = 0; ///< Kernel only, on an already staged image.
   double Speedup = 0;  ///< VmNs / NativeNs.
@@ -208,9 +181,6 @@ int main(int Argc, char **Argv) {
   }
 
   std::vector<Row> Rows;
-  // Scalar time depends only on (loop, layout width); memoized across the
-  // five policies sharing each cell.
-  std::map<std::pair<size_t, unsigned>, double> ScalarNsCache;
   for (auto &[W, Pendings] : ByWidth) {
     native::NativeBatch &Batch = Batches.at(W);
     for (const Pending &Pn : Pendings) {
@@ -245,13 +215,6 @@ int main(int Argc, char **Argv) {
       // allocated once), so no tier pays per-iteration allocation or the
       // page faults of a fresh mapping — the loop body is what's timed.
       sim::Memory M = Ref.getInitial();
-      auto ScalarKey = std::make_pair(Pn.LoopIdx, W);
-      if (!ScalarNsCache.count(ScalarKey))
-        ScalarNsCache[ScalarKey] = timeNsPerCall([&] {
-          M = Ref.getInitial();
-          sim::runScalarLoop(L, Ref.getLayout(), M);
-        }) / Datums;
-
       sim::DecodedProgram DP(*Pn.P, Ref.getLayout());
       double VmNs = timeNsPerCall([&] {
                       M = Ref.getInitial();
@@ -276,7 +239,6 @@ int main(int Argc, char **Argv) {
       R.Width = W;
       R.Isa = native::isaName(Batch.usedISA());
       R.Opd = C.Stats.Counts.opd(static_cast<int64_t>(Datums));
-      R.ScalarNs = ScalarNsCache[ScalarKey];
       R.VmNs = VmNs;
       R.NativeNs = NativeNs;
       R.KernelNs = KernelNs;
@@ -285,38 +247,19 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  std::printf("%-12s %-9s %5s %7s %7s  %10s %10s %10s %10s %8s\n", "loop",
-              "policy", "width", "isa", "opd", "scalar", "vm", "native",
-              "kernel", "native-x");
+  std::printf("%-12s %-9s %5s %7s %7s  %10s %10s %10s %8s\n", "loop",
+              "policy", "width", "isa", "opd", "vm", "native", "kernel",
+              "native-x");
   double LogSum = 0;
   for (const Row &R : Rows) {
     std::printf(
-        "%-12s %-9s %5u %7s %7.3f  %8.2fns %8.2fns %8.2fns %8.3fns %7.1fx\n",
-        R.Loop.c_str(), R.Policy.c_str(), R.Width, R.Isa, R.Opd, R.ScalarNs,
-        R.VmNs, R.NativeNs, R.KernelNs, R.Speedup);
+        "%-12s %-9s %5u %7s %7.3f  %8.2fns %8.2fns %8.3fns %7.1fx\n",
+        R.Loop.c_str(), R.Policy.c_str(), R.Width, R.Isa, R.Opd, R.VmNs,
+        R.NativeNs, R.KernelNs, R.Speedup);
     LogSum += std::log(R.Speedup);
   }
   double Geomean = std::exp(LogSum / static_cast<double>(Rows.size()));
 
-  // OPD-vs-wall-clock: per width, how well the simulated cost model ranks
-  // real time on each tier.
-  struct Corr {
-    double Vm, Native;
-  };
-  std::map<unsigned, Corr> Corrs;
-  for (unsigned W : Widths) {
-    std::vector<double> Opd, Vm, Nat;
-    for (const Row &R : Rows)
-      if (R.Width == W) {
-        Opd.push_back(R.Opd);
-        Vm.push_back(R.VmNs);
-        Nat.push_back(R.NativeNs);
-      }
-    Corrs[W] = {pearson(Opd, Vm), pearson(Opd, Nat)};
-    std::printf("width %2u: corr(opd, vm) = %+.3f, corr(opd, native) = "
-                "%+.3f\n",
-                W, Corrs[W].Vm, Corrs[W].Native);
-  }
   std::printf("geomean native-vs-VM speedup: %.1fx (gate: >= 5x)\n", Geomean);
 
   // The V = 64 gate: per (loop, policy) cell, kernel-only V = 32 time over
@@ -360,26 +303,12 @@ int main(int Argc, char **Argv) {
         .field("width", R.Width)
         .field("isa", R.Isa)
         .field("opd", R.Opd)
-        .field("scalar_ns_per_elem", R.ScalarNs)
         .field("vm_ns_per_elem", R.VmNs)
         .field("native_ns_per_elem", R.NativeNs)
         .field("kernel_ns_per_elem", R.KernelNs)
         .field("speedup_native_vs_vm", R.Speedup)
         .endObject();
     Report.row(std::move(RowJson));
-  }
-  {
-    std::string Corr;
-    obs::json::Writer Wr(Corr);
-    Wr.beginArray();
-    for (unsigned W : Widths)
-      Wr.beginObject()
-          .field("width", W)
-          .field("opd_vs_vm_ns", Corrs[W].Vm)
-          .field("opd_vs_native_ns", Corrs[W].Native)
-          .endObject();
-    Wr.endArray();
-    Report.extra("correlation", std::move(Corr));
   }
   if (!Report.write(OutPath))
     return 1;

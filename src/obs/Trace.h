@@ -16,7 +16,8 @@
 /// The subsystem is near-zero-overhead when disabled: installTracer(nullptr)
 /// is the default state, and a Span on the disabled path costs one relaxed
 /// atomic load and a branch — no clock reads, no allocation, no locking.
-/// This is measured by the BM_PipelineTraced{Off,On} pair in bench_speed.
+/// perfbench reports the traced-over-untraced latency as
+/// obs.trace_overhead on each of its workloads.
 ///
 /// Tracers are thread-safe: spans from concurrent fuzz workers record
 /// under a mutex and carry a small per-tracer thread id, so one trace can

@@ -108,7 +108,7 @@ unsigned predictShiftCount(PolicyKind Kind, const ir::Stmt &S, unsigned V,
 /// runPipeline invocation predicts per statement from the oracle, the
 /// decision log, and explainSimdization, and each used to rebuild the
 /// graph via reorg::buildGraph; callers on that path build it once and
-/// predict from it (reorg::graphBuildCount counts the savings).
+/// predict from it.
 unsigned predictShiftCount(PolicyKind Kind, const reorg::Graph &ShiftFree,
                            bool SoftwarePipelining = false);
 

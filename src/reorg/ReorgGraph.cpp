@@ -12,8 +12,6 @@
 #include "support/Format.h"
 #include "support/MathExtras.h"
 
-#include <atomic>
-
 using namespace simdize;
 using namespace simdize::reorg;
 
@@ -65,14 +63,7 @@ static std::unique_ptr<Node> buildExpr(const ir::Expr &E) {
   simdize_unreachable("unknown expression kind");
 }
 
-static std::atomic<uint64_t> GraphBuilds{0};
-
-uint64_t reorg::graphBuildCount() {
-  return GraphBuilds.load(std::memory_order_relaxed);
-}
-
 Graph reorg::buildGraph(const ir::Stmt &S, unsigned V) {
-  GraphBuilds.fetch_add(1, std::memory_order_relaxed);
   Graph G;
   G.VectorLen = V;
   G.ElemSize = S.getStoreArray()->getElemSize();

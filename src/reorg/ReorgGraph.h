@@ -140,12 +140,6 @@ StreamOffset offsetOfAccess(const ir::Array *A, int64_t ElemOffset,
 /// constraints").
 Graph buildGraph(const ir::Stmt &S, unsigned V);
 
-/// Process-wide count of buildGraph invocations. Graph construction is the
-/// piece the pipeline used to repeat — prediction, decision logging, and
-/// explain each rebuilt the same statement's graph — so the benchmark
-/// suite watches this counter to keep the build-once discipline honest.
-uint64_t graphBuildCount();
-
 /// Recomputes the Offset field of every node, bottom-up: loads get their
 /// access offset, splats ⊥, shifts their target, ops the unique defined
 /// offset of their children (any defined child chosen; verifyGraph checks

@@ -95,8 +95,8 @@ using support::parseU64;
 using support::parseWidthList;
 
 /// Runs one corpus file through every applicable configuration at every
-/// width of \p Opts, on its tier and with its oracles; returns false on any
-/// Failed outcome.
+/// width of \p Opts, under its policy filter, on its tier and with its
+/// oracles; returns false on any Failed outcome.
 bool replayFile(const std::string &Path, const fuzz::FuzzOptions &Opts) {
   auto Text = fuzz::readCorpusFile(Path);
   if (!Text) {
@@ -118,7 +118,7 @@ bool replayFile(const std::string &Path, const fuzz::FuzzOptions &Opts) {
   sim::ReferenceImageCache Images(/*MaxEntries=*/0);
   for (unsigned W : Opts.Widths) {
     for (const fuzz::FuzzConfig &C :
-         fuzz::configsForLoop(L, W, /*PolicyFilter=*/"", Opts.Tier)) {
+         fuzz::configsForLoop(L, W, Opts.PolicyFilter, Opts.Tier)) {
       fuzz::RunResult R =
           fuzz::runConfigOnLoop(L, C, 2004, {}, &Images, Opts.Oracles);
       bool Failed = R.Status == fuzz::RunStatus::Failed;

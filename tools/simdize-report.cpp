@@ -7,10 +7,10 @@
 /// \file
 /// The repo's perf trajectory in one place: aggregates the artifacts the
 /// benches and the compile server emit — BENCH_*.json envelopes (the
-/// shared BenchCommon.h writer), google-benchmark BENCH_speed.json,
-/// flight-recorder dumps, obs::Registry metrics JSON, and metrics JSONL
-/// streams — into one markdown report with a gate table and, given a
-/// baseline envelope, run-over-run deltas.
+/// shared BenchCommon.h writer), flight-recorder dumps, obs::Registry
+/// metrics JSON, and metrics JSONL streams — into one markdown report
+/// with a gate table and, given a baseline envelope, run-over-run deltas.
+/// Any other JSON shape is a usage error.
 ///
 ///   simdize-report [--out=FILE] [--baseline=FILE] [--max-regress=R]
 ///                  INPUT...
@@ -18,12 +18,13 @@
 /// Inputs are classified by content, not by name, so any mix of files
 /// works. --baseline=FILE names a previous BENCH envelope (or a file
 /// holding several, one per line); a current gate whose value fell more
-/// than R (default 0.10) below its baseline counts as a regression —
-/// gate values are scaled higher-is-better by the benches, which is what
-/// makes one direction check sound.
+/// than R (a finite number >= 0, default 0.10) below its baseline counts
+/// as a regression — gate values are scaled higher-is-better by the
+/// benches, which is what makes one direction check sound.
 ///
-/// Exit status: 0 clean; 1 when any gate failed or any regression
-/// exceeded the threshold (the CI contract); 2 on usage errors.
+/// Exit status: 0 clean; 1 when any gate failed, any regression exceeded
+/// the threshold (the CI contract), or --out could not be written; 2 on
+/// usage errors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -83,14 +85,12 @@ bool readFile(const std::string &Path, std::string &Out) {
 }
 
 /// What one input file turned out to be.
-enum class InputKind { Envelope, GoogleBenchmark, Flight, Registry, Jsonl };
+enum class InputKind { Envelope, Flight, Registry, Jsonl };
 
 const char *inputKindName(InputKind K) {
   switch (K) {
   case InputKind::Envelope:
     return "bench envelope";
-  case InputKind::GoogleBenchmark:
-    return "google-benchmark";
   case InputKind::Flight:
     return "flight-recorder dump";
   case InputKind::Registry:
@@ -115,8 +115,6 @@ std::optional<InputKind> classify(const Value &V) {
     return std::nullopt;
   if (member(V, "bench") && member(V, "gates") && member(V, "rows"))
     return InputKind::Envelope;
-  if (member(V, "context") && member(V, "benchmarks"))
-    return InputKind::GoogleBenchmark;
   if (member(V, "capacity") && member(V, "records"))
     return InputKind::Flight;
   if (member(V, "flight"))
@@ -233,22 +231,6 @@ void sectionEnvelope(std::string &Md, const Input &In) {
   Md += "\n";
 }
 
-void sectionGoogleBenchmark(std::string &Md, const Input &In) {
-  const Value *BM = member(In.Doc, "benchmarks");
-  if (!BM || !BM->isArray())
-    return;
-  Md += "| benchmark | real_time | unit | items/s |\n|---|---|---|---|\n";
-  for (const Value &B : BM->Arr) {
-    const Value *Items = member(B, "items_per_second");
-    Md += strf("| %s | %s | %s | %s |\n",
-               strOr(member(B, "name"), "?").c_str(),
-               fmtNum(numOr(member(B, "real_time"), 0.0)).c_str(),
-               strOr(member(B, "time_unit"), "ns").c_str(),
-               Items && Items->isNumber() ? fmtNum(Items->Num).c_str() : "");
-  }
-  Md += "\n";
-}
-
 void sectionFlight(std::string &Md, const Input &In) {
   const Value &F = flightOf(In.Doc);
   Md += strf("Capacity %.0f, recorded %.0f, dropped %.0f.\n\n",
@@ -332,7 +314,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--max-regress=", 0) == 0) {
       char *End = nullptr;
       MaxRegress = std::strtod(Arg.c_str() + 14, &End);
-      if (*End != '\0' || End == Arg.c_str() + 14 || MaxRegress < 0.0)
+      if (*End != '\0' || End == Arg.c_str() + 14 ||
+          !std::isfinite(MaxRegress) || MaxRegress < 0.0)
         return usage(Argv[0]);
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage(Argv[0]);
@@ -418,9 +401,6 @@ int main(int Argc, char **Argv) {
     case InputKind::Envelope:
       sectionEnvelope(Md, In);
       break;
-    case InputKind::GoogleBenchmark:
-      sectionGoogleBenchmark(Md, In);
-      break;
     case InputKind::Flight:
       sectionFlight(Md, In);
       break;
@@ -446,7 +426,8 @@ int main(int Argc, char **Argv) {
   } else {
     std::ofstream Out(OutPath, std::ios::trunc | std::ios::binary);
     Out << Md;
-    if (!Out.good()) {
+    Out.close(); // Flushes: a full device fails here, not at <<.
+    if (Out.fail()) {
       std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
       return 1;
     }
